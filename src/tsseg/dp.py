@@ -8,8 +8,10 @@ of cutting the prefix [1..t] into exactly k segments,
     c[k, t] = min over s of ( c[k-1, s] + d[s+1, t] )
 
 and the minimizing s values are kept for backtracking.  The minimization
-phase is O(K T^2); for the means model the cost columns can also be
-produced on the fly, so the table never has to be materialized.
+phase is O(K T^2); the fill is vectorized over k, so each t takes one
+2-D argmin over all orders at once.  For the means model the cost columns
+can also be produced on the fly, so the table never has to be
+materialized.
 """
 
 from __future__ import annotations
@@ -51,16 +53,17 @@ def _run_dp(
     c = np.full((k_max + 1, T + 1), np.inf)
     c[0, 0] = 0.0
     back = np.zeros((k_max + 1, T + 1), dtype=np.int64)
+    orders = np.arange(k_max)
     for t in range(1, T + 1):
         col = column(t)
         hi = t - min_len  # largest admissible previous change point
         if hi < 0:
             continue
-        for k in range(1, k_max + 1):
-            cand = c[k - 1, : hi + 1] + col[: hi + 1]
-            j = int(np.argmin(cand))  # ties resolve to the earliest change point
-            c[k, t] = cand[j]
-            back[k, t] = j
+        # row k-1 holds the candidates of order k, so one argmin fills every order
+        cand = c[:k_max, : hi + 1] + col[: hi + 1]
+        j = np.argmin(cand, axis=1)  # ties resolve to the earliest change point
+        c[1:, t] = cand[orders, j]
+        back[1:, t] = j
     return c, back
 
 

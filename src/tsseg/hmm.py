@@ -14,6 +14,15 @@ only improve the joint likelihood while the path keeps all K states, which
 is what makes the loop a hard-assignment variant of EM.  The loop starts
 from a greedy binary segmentation of the series on the means cost, so
 that each initial state already covers one level of the data.
+
+Viterbi decoding runs state by state rather than time step by time step.
+Because the chain only stays or moves up by one, the best score of state
+k at time t is the best over its entry times tau of the score of reaching
+state k-1 at tau-1, one move, and the stays and emissions of state k from
+tau to t.  Given state k-1's scores at every time, that is one max-plus
+scan per state, evaluated with vectorized doubling rounds.  Ties go to
+the latest entry into a state and, at the end of the series, to the
+lowest state, as in the time-major recursion.
 """
 
 from __future__ import annotations
@@ -119,30 +128,66 @@ def _decode(log_emissions: np.ndarray, p: float) -> tuple[np.ndarray, float]:
     """Viterbi in the log domain for the bidiagonal left-to-right chain.
 
     ``log_emissions`` is (T, K).  Returns (0-based states, max joint
-    log-likelihood).  Ties prefer the lowest state index.
+    log-likelihood).
+
+    The recursion runs state by state.  With a_k = log p (a_K = 0, the
+    last state being absorbing), e_k(t) the log emission, and the chain in
+    an implicit state 1 before the first observation,
+
+        q_k(t) = max(q_k(t-1) + a_k, q_{k-1}(t-1) + log(1-p)) + e_k(t).
+
+    Once q_{k-1} is known for every t, q_k(t) is the best over entry times
+    tau <= t of r_k(tau) + sum_{tau < u <= t} (a_k + e_k(u)), where
+    r_k(tau) = q_{k-1}(tau-1) + log(1-p) + e_k(tau) enters k at tau: a
+    max-plus scan.  It is evaluated by doubling, so each state takes
+    ceil(log2 T) vectorized rounds and no loop runs over time.  Every
+    candidate is scored as a sum of its own terms, as in the time-major
+    recursion; the closed form q_k = C_k + running max(r_k - C_k) with C_k
+    the cumulative sum of a_k + e_k needs no rounds, but where emissions
+    span many orders of magnitude the stay costs vanish next to a large
+    C_k and the decoded path degrades.
+
+    Ties follow the time-major rule: entering beats staying when their
+    scores are equal, so a state is entered as late as possible, and the
+    final state is the lowest among the best.  The backtrack reads each
+    state's entry time off those comparisons and takes K steps.
     """
     T, K = log_emissions.shape
-    log_stay = np.full(K, math.log(p))
+    log_stay = np.full((K, 1), math.log(p))
     log_stay[K - 1] = 0.0
     log_next = math.log(1.0 - p)
-    idx = np.arange(K)
-    q = np.full(K, -np.inf)
-    q[0] = 0.0
-    back = np.empty((T + 1, K), dtype=np.int32)
-    enter = np.empty(K)
-    for t in range(1, T + 1):
-        enter[0] = -np.inf
-        enter[1:] = q[:-1] + log_next
-        stay = q + log_stay
-        take_enter = enter >= stay
-        back[t] = np.where(take_enter, idx - 1, idx)
-        q = np.where(take_enter, enter, stay) + log_emissions[t - 1]
-    last = int(np.argmax(q))
-    loglik = float(q[last])
+    emissions = log_emissions.T
+    stays = emissions + log_stay
+    q = np.empty((K, T))
+    q[0] = np.cumsum(stays[0])
+    for k in range(1, K):
+        best = np.empty(T)
+        best[0] = log_next if k == 1 else -np.inf
+        best[1:] = q[k - 1, :-1] + log_next
+        best += emissions[k]
+        run = stays[k].copy()  # run[t]: sum of a_k + e_k over the window ending at t
+        width = 1
+        while width < T:
+            np.maximum(best[width:], best[:-width] + run[width:], out=best[width:])
+            run[width:] += run[:-width]
+            width *= 2
+        q[k] = best
+    before = np.empty((K, T))
+    before[:, 0] = -np.inf
+    before[0, 0] = 0.0
+    before[:, 1:] = q[:, :-1]
+    enters = np.zeros((K, T), dtype=bool)
+    enters[1:] = before[:-1] + log_next >= before[1:] + log_stay[1:]
+    entry = np.maximum.accumulate(np.where(enters, np.arange(T), -1), axis=1)
+    last = int(np.argmax(q[:, T - 1]))
+    loglik = float(q[last, T - 1])
     states = np.empty(T, dtype=np.int64)
-    states[T - 1] = last
-    for t in range(T, 1, -1):
-        states[t - 2] = back[t, states[t - 1]]
+    t = T - 1
+    for k in range(last, 0, -1):
+        tau = int(entry[k, t])
+        states[tau : t + 1] = k
+        t = tau - 1
+    states[: t + 1] = 0
     return states, loglik
 
 
@@ -251,7 +296,13 @@ class _MeansModel:
 
 
 class _ArModel:
-    """Per-state autoregressions (ridge-seeded least squares per segment)."""
+    """Per-state autoregressions (ridge-seeded least squares per segment).
+
+    As in the DP cost tables (:func:`ar_cost_exact`), the first ``order``
+    observations, whose lags are clamped, are neither fitted nor charged.
+    Their emission is the same in every state, so they leave the decoded
+    path to the transition terms.
+    """
 
     def __init__(self, x: TimeSeries, K: int, order: int, delta: float):
         self.values = x.values
@@ -260,13 +311,14 @@ class _ArModel:
         self.delta = delta
         self.U = lag_matrix(x.values, order)
         self.eye = np.eye(order + 1)
+        self.charged = np.arange(len(x)) >= order
 
     def refit(self, states: np.ndarray, prev: np.ndarray | None) -> np.ndarray:
         coefs = (
             np.zeros((self.K, self.order + 1)) if prev is None else prev.copy()
         )
-        for k in np.unique(states):
-            rows = states == k
+        for k in np.unique(states[self.charged]):
+            rows = (states == k) & self.charged
             Uk = self.U[rows]
             coefs[k - 1] = np.linalg.solve(
                 Uk.T @ Uk + self.delta * self.eye, Uk.T @ self.values[rows]
@@ -275,10 +327,12 @@ class _ArModel:
 
     def log_emissions(self, params: np.ndarray, sigma: float) -> np.ndarray:
         err = self.values[:, None] - self.U @ params.T
+        err[~self.charged] = 0.0
         return -(err * err) / (2.0 * sigma**2)
 
     def cost(self, states: np.ndarray, params: np.ndarray) -> float:
         err = self.values - np.einsum("ij,ij->i", self.U, params[states - 1])
+        err = err[self.charged]
         return float(err @ err)
 
 

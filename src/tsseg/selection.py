@@ -109,26 +109,50 @@ def _f_cdf(v: float, d1: int, d2: int) -> float:
     return _betainc(d1 / 2.0, d2 / 2.0, d1 * v / (d1 * v + d2))
 
 
+def _f_pdf(v: float, d1: int, d2: int) -> float:
+    a, b = d1 / 2.0, d2 / 2.0
+    return math.exp(
+        math.lgamma(a + b)
+        - math.lgamma(a)
+        - math.lgamma(b)
+        + a * math.log(d1 / d2)
+        + (a - 1.0) * math.log(v)
+        - (a + b) * math.log1p(d1 * v / d2)
+    )
+
+
 def f_quantile(q: float, d1: int, d2: int) -> float:
-    """Quantile of the F distribution with (d1, d2) degrees of freedom."""
+    """Quantile of the F distribution with (d1, d2) degrees of freedom.
+
+    Newton steps on the CDF, inside a bracket found by doubling: a step
+    that would leave the bracket is replaced by bisection, and every
+    evaluation narrows the bracket.
+    """
     if not 0.0 < q < 1.0:
         raise ValueError("q must lie strictly between 0 and 1")
     if d1 < 1 or d2 < 1:
         raise ValueError("degrees of freedom must be >= 1")
     lo, hi = 0.0, 1.0
     while _f_cdf(hi, d1, d2) < q:
+        lo = hi
         hi *= 2.0
         if hi > 1e12:
             raise RuntimeError("failed to bracket the F quantile")
+    v = hi
     for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if _f_cdf(mid, d1, d2) < q:
-            lo = mid
+        excess = _f_cdf(v, d1, d2) - q
+        if excess < 0.0:
+            lo = v
         else:
-            hi = mid
-        if hi - lo <= 1e-12 * max(1.0, lo):
-            break
-    return 0.5 * (lo + hi)
+            hi = v
+        density = _f_pdf(v, d1, d2)
+        nxt = v - excess / density if density > 0.0 else hi
+        if not lo < nxt < hi:
+            nxt = 0.5 * (lo + hi)
+        if abs(nxt - v) <= 1e-12 * max(1.0, v):
+            return nxt
+        v = nxt
+    return v
 
 
 # ---------------------------------------------------------------------------

@@ -46,3 +46,77 @@ def test_select_order_reports_order_one(tmp_path):
     assert report["selection"]["chosen_order"] == 1
     assert report["result"]["change_points"] == [0, len(values)]
     assert [a["order"] for a in report["selection"]["attempts"]] == [1]
+
+
+def run(tmp_path, text, *args):
+    csv = tmp_path / "series.csv"
+    csv.write_text(text)
+    return main(["segment", str(csv), *args])
+
+
+def two_levels(n=20):
+    return "".join(f"{v}\n" for v in [0.0] * n + [5.0] * n)
+
+
+def test_exit_0_on_success(tmp_path, capsys):
+    out = tmp_path / "report.json"
+    rc = run(tmp_path, two_levels(), "--K", "2", "--json", str(out))
+    assert rc == 0
+    report = json.loads(out.read_text())
+    assert report["result"]["change_points"] == [0, 20, 40]
+    assert "order 2 segmentation" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["--K", "2", "--cost", "wavelet"], "bad cost model"),
+        (["--K", "2", "--algo", "hmm", "--cost", "poly(1)"], "only available with --algo dp"),
+        (["--algo", "dp"], "--K is required"),
+        (["--algo", "hmm"], "--K is required"),
+    ],
+)
+def test_exit_1_on_usage_errors(tmp_path, capsys, args, message):
+    assert run(tmp_path, two_levels(), *args) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage error:") and message in err
+
+
+def test_exit_2_on_missing_file(tmp_path, capsys):
+    assert main(["segment", str(tmp_path / "absent.csv"), "--K", "2"]) == 2
+    assert "cannot read" in capsys.readouterr().err
+
+
+def test_exit_2_on_non_numeric_cell_names_its_line(tmp_path, capsys):
+    assert run(tmp_path, "1.0\n2.0\n\n3.0\noops\n4.0\n", "--K", "2") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error:") and "series.csv:5:" in err and "'oops'" in err
+
+
+def test_exit_3_on_singular_window(tmp_path, capsys, monkeypatch):
+    import tsseg.cli
+    from tsseg import SingularWindowError
+
+    def singular(*args, **kwargs):
+        raise SingularWindowError(3, 9)
+
+    monkeypatch.setattr(tsseg.cli, "build_cost_matrix", singular)
+    assert run(tmp_path, two_levels(), "--algo", "dp", "--K", "2") == 3
+    assert "numerical failure: singular design on window [3, 9]" in (
+        capsys.readouterr().err
+    )
+
+
+def test_header_row_skipped_and_labels_reported(tmp_path):
+    years = range(1901, 1941)
+    values = [0.0] * 20 + [5.0] * 20
+    text = "year,flow\n" + "".join(f"{y},{v}\n" for y, v in zip(years, values))
+    out = tmp_path / "report.json"
+    rc = run(tmp_path, text, "--value-col", "2", "--label-col", "1",
+             "--algo", "dp", "--K", "2", "--json", str(out))
+    assert rc == 0
+    result = json.loads(out.read_text())["result"]
+    assert result["change_points"] == [0, 20, 40]
+    # t_0 = 0 maps to the label before the first one
+    assert result["change_point_labels"] == [1900, 1920, 1940]
+    assert [s["start_label"] for s in result["segments"]] == [1901, 1921]

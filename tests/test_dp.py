@@ -10,7 +10,28 @@ from tsseg import (
     min_cost_curve,
     precompute_ar_cost,
     precompute_means_cost,
+    precompute_poly_cost,
 )
+from tsseg.costs import means_cost_column
+from tsseg.dp import _run_dp
+
+
+def per_order_dp(column, T, k_max, min_len):
+    """Reference fill: one argmin per order k and per end t."""
+    c = np.full((k_max + 1, T + 1), np.inf)
+    c[0, 0] = 0.0
+    back = np.zeros((k_max + 1, T + 1), dtype=np.int64)
+    for t in range(1, T + 1):
+        col = column(t)
+        hi = t - min_len
+        if hi < 0:
+            continue
+        for k in range(1, k_max + 1):
+            cand = c[k - 1, : hi + 1] + col[: hi + 1]
+            j = int(np.argmin(cand))
+            c[k, t] = cand[j]
+            back[k, t] = j
+    return c, back
 
 
 def test_two_level_series():
@@ -144,3 +165,55 @@ def test_hmm_cost_never_beats_dp():
         seg, trace = hmm_segment(x, 3, 0.9)
         dp_cost = dp_segment(precompute_means_cost(x), 3)[2].cost
         assert segmentation_cost(x, seg) >= dp_cost - 1e-9
+
+
+@pytest.mark.parametrize("model", ["means", "ar(2)", "poly(1)"])
+def test_fill_is_bit_identical_to_per_order_reference(model):
+    rng = np.random.default_rng(404)
+    for trial in range(6):
+        T = int(rng.integers(12, 40))
+        # a coarse grid of values makes tied candidates common
+        x = TimeSeries(np.round(rng.normal(0.0, 2.0, T)))
+        if model == "means":
+            cm = precompute_means_cost(x)
+        elif model == "ar(2)":
+            cm = precompute_ar_cost(x, 2)
+        else:
+            cm = precompute_poly_cost(x, 1)
+        k_max = min(T, 8)
+        masked = (lambda t: cm.column(t, masked=True), T, k_max,
+                  cm.default_min_segment_length)
+        permissive = (lambda t: cm.column(t, masked=False), T, k_max, 1)
+        for args in (masked, permissive):
+            c, back = _run_dp(*args)
+            ref_c, ref_back = per_order_dp(*args)
+            assert np.array_equal(c, ref_c)
+            assert np.array_equal(back, ref_back)
+
+
+def test_streaming_fill_is_bit_identical_to_per_order_reference():
+    rng = np.random.default_rng(5)
+    values = rng.standard_normal(60)
+    args = (lambda t: means_cost_column(values, t), 60, 7, 2)
+    c, back = _run_dp(*args)
+    ref_c, ref_back = per_order_dp(*args)
+    assert np.array_equal(c, ref_c)
+    assert np.array_equal(back, ref_back)
+
+
+def test_permissive_pass_supplies_infeasible_orders():
+    # an ar(2) window needs 4 charged points and the first 2 points are never
+    # charged, so 16 points hold at most 3 segments; orders 4 to 6 come from
+    # the permissive pass over flagged windows
+    rng = np.random.default_rng(21)
+    cm = precompute_ar_cost(TimeSeries(rng.standard_normal(16)), 2)
+    results = dp_segment(cm, 6)
+    assert [r.used_flagged for r in results] == [False] * 3 + [True] * 3
+    ref_c, ref_back = per_order_dp(lambda t: cm.column(t, masked=False), 16, 6, 1)
+    for res in results[3:]:
+        assert res.cost == ref_c[res.order, 16]
+        cur, cps = 16, [16]
+        for k in range(res.order, 0, -1):
+            cur = int(ref_back[k, cur])
+            cps.append(cur)
+        assert res.segmentation.change_points == tuple(reversed(cps))

@@ -17,6 +17,8 @@ from tsseg import (
     transition_matrix,
     viterbi,
 )
+from tsseg.costs import ar_cost_exact
+from tsseg.hmm import _decode
 
 
 def enumerate_paths(T, K):
@@ -46,6 +48,47 @@ def product_form_likelihood(states, x, params):
         )
         prev = k
     return prob
+
+
+def time_major_decode(log_emissions, p):
+    """Reference Viterbi: one iteration per time step over the K-vector of
+    scores, with back pointers; entering wins ties, then the lowest state."""
+    T, K = log_emissions.shape
+    log_stay = np.full(K, math.log(p))
+    log_stay[K - 1] = 0.0
+    log_next = math.log(1.0 - p)
+    idx = np.arange(K)
+    q = np.full(K, -np.inf)
+    q[0] = 0.0
+    back = np.empty((T + 1, K), dtype=np.int32)
+    enter = np.empty(K)
+    for t in range(1, T + 1):
+        enter[0] = -np.inf
+        enter[1:] = q[:-1] + log_next
+        stay = q + log_stay
+        take_enter = enter >= stay
+        back[t] = np.where(take_enter, idx - 1, idx)
+        q = np.where(take_enter, enter, stay) + log_emissions[t - 1]
+    last = int(np.argmax(q))
+    states = np.empty(T, dtype=np.int64)
+    states[T - 1] = last
+    for t in range(T, 1, -1):
+        states[t - 2] = back[t, states[t - 1]]
+    return states, float(q[last])
+
+
+def path_log_likelihood(log_emissions, states, p):
+    """Joint log-likelihood of a 0-based path, summed exactly (math.fsum)."""
+    T, K = log_emissions.shape
+    path = np.concatenate([[0], states])
+    steps = np.diff(path)
+    assert np.all((steps == 0) | (steps == 1)) and path.max() < K
+    stays = int(np.count_nonzero((steps == 0) & (path[:-1] < K - 1)))
+    moves = int(np.count_nonzero(steps))
+    return math.fsum(
+        [*log_emissions[np.arange(T), states], stays * math.log(p),
+         moves * math.log(1.0 - p)]
+    )
 
 
 class TestTransitionMatrix:
@@ -171,6 +214,53 @@ class TestViterbi:
         assert loglik == pytest.approx(math.log(0.5))
 
 
+class TestStateMajorDecode:
+    """The state-major decoder against the time-major reference loop."""
+
+    def test_matches_time_major_reference(self):
+        rng = np.random.default_rng(2024)
+        for case in range(20_000):
+            T = int(rng.integers(1, 81))
+            K = int(rng.integers(1, 7))
+            p = float(rng.choice([0.5, 0.88, 0.9, 0.99]))
+            log_em = -rng.exponential(2.0, (T, K))
+            if case % 4 == 0:
+                # coarse emissions make exact ties between paths common
+                log_em = np.round(log_em)
+            states, loglik = _decode(log_em, p)
+            ref_states, ref_loglik = time_major_decode(log_em, p)
+            assert loglik == pytest.approx(ref_loglik, rel=1e-9, abs=1e-12)
+            assert path_log_likelihood(log_em, states, p) == pytest.approx(
+                ref_loglik, rel=1e-9, abs=1e-12
+            )
+
+    @pytest.mark.parametrize("layout", ["wrong-states-everywhere", "late-states"])
+    def test_extreme_emission_scales(self, layout):
+        # Wrong-state emissions up to 1e21 in size: a scan over cumulative
+        # emission sums would lose the O(1) stay and emission terms next to
+        # them.  The decoded path must never score worse than the reference's.
+        rng = np.random.default_rng(7 if layout == "late-states" else 8)
+        for _ in range(1000):
+            T = int(rng.integers(2, 81))
+            K = int(rng.integers(2, 7))
+            p = float(rng.choice([0.5, 0.88, 0.9, 0.99]))
+            scale = 10.0 ** rng.uniform(10, 21)
+            log_em = -rng.exponential(1.0, (T, K))
+            if layout == "late-states":
+                # only state 1 fits before the cut; after it all states compete
+                cut = int(rng.integers(1, T))
+                log_em[:cut, 1:] *= scale
+            else:
+                truth = np.sort(rng.integers(0, K, T))
+                wrong = np.arange(K)[None, :] != truth[:, None]
+                log_em[wrong] *= scale
+            states, _ = _decode(log_em, p)
+            ref_states, _ = time_major_decode(log_em, p)
+            ours = path_log_likelihood(log_em, states, p)
+            ref = path_log_likelihood(log_em, ref_states, p)
+            assert ours >= ref - 1e-9 * abs(ref)
+
+
 class TestHmmSegment:
     def test_clean_split_converges_fast(self):
         x = TimeSeries([0.0, 0.0, 0.0, 10.0, 10.0, 10.0])
@@ -279,3 +369,17 @@ class TestHmmSegment:
         seg, trace = hmm_segment(x, 2, 0.9, model="ar", order=1, restarts=4, seed=0)
         assert seg.order == 2
         assert abs(seg.change_points[1] - 80) <= 3
+
+    def test_ar_cost_is_the_dp_objective(self):
+        # the HMM charges AR fits on the rows the DP cost tables use, so its
+        # final cost is the sum of the exact window costs of its segments
+        rng = np.random.default_rng(12)
+        x = TimeSeries(np.concatenate([
+            np.cumsum(rng.normal(0.0, 0.3, 60)),
+            5.0 + rng.normal(0.0, 0.3, 60),
+        ]))
+        seg, trace = hmm_segment(x, 2, 0.9, model="ar", order=1)
+        exact = sum(
+            ar_cost_exact(x, s, t, 1)[0] for s, t in seg.segments()
+        )
+        assert trace.final.cost == pytest.approx(exact, rel=1e-6)
