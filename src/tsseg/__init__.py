@@ -32,9 +32,6 @@ from .costs import (
     build_cost_matrix,
     means_cost_direct,
     poly_cost,
-    precompute_ar_cost,
-    precompute_means_cost,
-    precompute_poly_cost,
 )
 from .dp import (
     DpResult,
@@ -90,11 +87,8 @@ __all__ = [
     "CostMatrix",
     "SingularWindowError",
     "means_cost_direct",
-    "precompute_means_cost",
     "ar_cost_exact",
-    "precompute_ar_cost",
     "poly_cost",
-    "precompute_poly_cost",
     "build_cost_matrix",
     "DpResult",
     "dp_segment",

@@ -79,7 +79,6 @@ class RunConfig:
     restarts: int = 0
     seed: int | None = None
     min_segment_length: int | None = None
-    delta: float = 1e-6
     json_path: str | None = None
     svg_path: str | None = None
     dump_cost_matrix: str | None = None
@@ -170,7 +169,7 @@ def _segment_payload(x: TimeSeries, seg: Segmentation, cfg: RunConfig) -> list[d
     stats = segment_stats(x, seg)
     coefs: list[list[float]] | None = None
     if cfg.cost_model in ("ar", "poly"):
-        _, _, fits = _segment_fits(x, seg, cfg.cost_model, cfg.order, cfg.delta)
+        _, _, fits = _segment_fits(x, seg, cfg.cost_model, cfg.order)
         coefs = [[float(c) for c in coef] for coef in fits]
     for k, ((start, end), st) in enumerate(zip(seg.segments(), stats), start=1):
         entry = {
@@ -195,7 +194,7 @@ def _fitted_values(x: TimeSeries, seg: Segmentation, cfg: RunConfig) -> np.ndarr
         return np.concatenate(
             [np.full(s.length, s.mean) for s in segment_stats(x, seg)]
         )
-    return _segment_fits(x, seg, cfg.cost_model, cfg.order, cfg.delta)[0]
+    return _segment_fits(x, seg, cfg.cost_model, cfg.order)[0]
 
 
 def _trace_payload(trace: EmTrace) -> list[dict]:
@@ -250,7 +249,7 @@ def cmd_segment(cfg: RunConfig) -> int:
     if cfg.algorithm == "hmm" and cfg.cost_model == "poly":
         raise UsageError(
             "cost model poly is only available with --algo dp "
-            "(its regressors depend on the segment start)"
+            "(the HMM has no polynomial emission model)"
         )
 
     started = time.perf_counter()
@@ -267,7 +266,6 @@ def cmd_segment(cfg: RunConfig) -> int:
             p=cfg.p,
             alpha=cfg.alpha,
             k_max=cfg.k_max,
-            delta=cfg.delta,
             epsilon=cfg.epsilon,
             restarts=cfg.restarts,
             seed=cfg.seed,
@@ -289,7 +287,6 @@ def cmd_segment(cfg: RunConfig) -> int:
             cfg.p,
             model=cfg.cost_model,
             order=cfg.order,
-            delta=cfg.delta,
             epsilon=cfg.epsilon,
             restarts=cfg.restarts,
             seed=cfg.seed,
@@ -297,9 +294,7 @@ def cmd_segment(cfg: RunConfig) -> int:
     else:
         if cfg.K is None:
             raise UsageError("--K is required unless --select-order is given")
-        matrix = build_cost_matrix(
-            x, cfg.cost_model, order=cfg.order, delta=cfg.delta
-        )
+        matrix = build_cost_matrix(x, cfg.cost_model, order=cfg.order)
         seg = dp_segment(matrix, cfg.K, cfg.min_segment_length)[
             cfg.K - 1
         ].segmentation
@@ -308,9 +303,7 @@ def cmd_segment(cfg: RunConfig) -> int:
     if cfg.cost_model == "means":
         cost = segmentation_cost(x, seg)
     else:
-        residuals = _segment_residuals(
-            x, seg, cfg.cost_model, cfg.order, cfg.delta
-        )
+        residuals = _segment_residuals(x, seg, cfg.cost_model, cfg.order)
         cost = float(residuals @ residuals)
 
     report = {
@@ -371,9 +364,7 @@ def cmd_segment(cfg: RunConfig) -> int:
             )
     if cfg.dump_cost_matrix:
         if matrix is None:
-            matrix = build_cost_matrix(
-                x, cfg.cost_model, order=cfg.order, delta=cfg.delta
-            )
+            matrix = build_cost_matrix(x, cfg.cost_model, order=cfg.order)
         with open(cfg.dump_cost_matrix, "w", encoding="utf-8") as fh:
             fh.write(matrix.to_tsv())
 

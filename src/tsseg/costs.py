@@ -9,11 +9,17 @@ the (1-based, inclusive) window [s, t]:
 * ``poly``:  squared residual of a polynomial in the within-segment time
              offset fitted to the window.
 
-Each model has a direct evaluator (the slow, obviously-correct form) and a
-full-matrix builder.  The matrix builders run in O(T^2) for the means model
-(by peeling one leading point at a time off each window) and O(T^2 l^2) for
-the autoregressive model (recursive least squares), instead of the O(T^3)
-cost of evaluating every window from scratch.
+All three are the least-squares residual of x_u on a design row over the
+charged rows u of the window: [1] for means, [1, x_{u-1}, ..., x_{u-L}] for
+ar (the first L rows, whose lags are clamped, are not charged), and
+[1, (t-u), ..., (t-u)^L] for poly, which spans the same polynomials as the
+within-segment offset.  One column kernel gives every window ending at t:
+sums of u u', u x and x^2 accumulated from t backwards (a short window is
+never the difference of two long ones), then one batched solve of the
+Jacobi-scaled normal equations, with no ridge; O(T^2 d^2) for d regressors.
+:func:`build_cost_matrix` is the only table builder, and the segmenters'
+per-segment fits use the same solve.  Each model also has a direct
+evaluator (the slow, obviously-correct form) the tables are checked against.
 """
 
 from __future__ import annotations
@@ -29,13 +35,15 @@ __all__ = [
     "SingularWindowError",
     "means_cost_direct",
     "means_cost_column",
-    "precompute_means_cost",
     "ar_cost_exact",
-    "precompute_ar_cost",
     "poly_cost",
-    "precompute_poly_cost",
     "build_cost_matrix",
 ]
+
+#: Rayleigh quotient below which :func:`_solve` distrusts a solve (rounding
+#: would swamp the residual), and the pseudo-inverse's cutoff relative to
+#: the largest eigenvalue.
+_RCOND = 1e-8
 
 
 class SingularWindowError(Exception):
@@ -117,7 +125,7 @@ class CostMatrix:
 
 
 # ---------------------------------------------------------------------------
-# means model
+# direct evaluators (test oracles)
 # ---------------------------------------------------------------------------
 
 def means_cost_direct(x: TimeSeries, s: int, t: int) -> float:
@@ -132,42 +140,6 @@ def means_cost_direct(x: TimeSeries, s: int, t: int) -> float:
     r = w - w.mean()
     return float(r @ r)
 
-
-def means_cost_column(values: np.ndarray, t: int) -> np.ndarray:
-    """One column d[s, t], s = 1..t, of the means cost table.
-
-    Peels the leading point off the window: with p[s] the mean of x_s..x_t,
-    d[s, t] = d[s+1, t] + (t - s) * (p[s+1] - p[s])^2 + (x_s - p[s])^2.
-    The whole column is the suffix sum of those per-s increments, which
-    keeps the floating-point evaluation order identical whether columns are
-    stored or produced on the fly.
-    """
-    w = values[:t]
-    if t == 1:
-        return np.zeros(1)
-    suffix_sums = np.cumsum(w[::-1])[::-1]
-    lengths = np.arange(t, 0, -1)
-    p = suffix_sums / lengths
-    q = p[1:] - p[:-1]
-    increments = (lengths[:-1] - 1) * q * q + (w[:-1] - p[:-1]) ** 2
-    col = np.empty(t)
-    col[-1] = 0.0
-    col[:-1] = np.cumsum(increments[::-1])[::-1]
-    return col
-
-
-def precompute_means_cost(x: TimeSeries) -> CostMatrix:
-    """Full means cost table in O(T^2) time."""
-    T = len(x)
-    by_end = np.zeros((T, T))
-    for t in range(1, T + 1):
-        by_end[t - 1, :t] = means_cost_column(x.values, t)
-    return CostMatrix(by_end=by_end, model_tag="means")
-
-
-# ---------------------------------------------------------------------------
-# autoregressive model
-# ---------------------------------------------------------------------------
 
 def lag_matrix(values: np.ndarray, order: int) -> np.ndarray:
     """Regressor rows u_t = [1, x_{t-1}, ..., x_{t-order}] for t = 1..T.
@@ -215,73 +187,6 @@ def ar_cost_exact(
     return float(r @ r), coef
 
 
-def precompute_ar_cost(
-    x: TimeSeries, order: int, delta: float = 1e-6
-) -> CostMatrix:
-    """Autoregressive cost table via recursive least squares, O(T^2 order^2).
-
-    For each start s the window is grown one point at a time from
-    max(s, order+1) (matching :func:`ar_cost_exact`).  The inverse Gram
-    matrix starts at I/delta (a ridge seed pulling ties toward the
-    minimum-norm solution).  The running sum
-
-        v += e * e / (1 + u P u'),
-
-    with e the prediction error before the coefficient update, is exactly
-    the minimized ridge objective of the rows seen so far; subtracting the
-    ridge penalty delta |coef|^2 leaves the plain squared prediction error,
-    so the stored costs agree with the exact fit up to O(delta) instead of
-    undercounting early errors the way a sum of one-step residuals does.
-
-    Windows with fewer than order + 2 usable rows cannot identify the
-    model; they are stored as 0 and flagged.  Windows whose stated start
-    lies in the first ``order`` positions are marked as boundary windows.
-    """
-    T = len(x)
-    if T <= order + 1:
-        raise ValueError(f"series of length {T} too short for order {order}")
-    if delta <= 0:
-        raise ValueError("delta must be positive")
-    U = lag_matrix(x.values, order)
-    values = x.values
-    dim = order + 1
-    by_end = np.zeros((T, T))
-    flagged = np.zeros((T, T), dtype=bool)
-    boundary = np.zeros((T, T), dtype=bool)
-    eye = np.eye(dim)
-    for s in range(1, T + 1):
-        P = eye / delta
-        coef = np.zeros(dim)
-        v = 0.0
-        lo = max(s, order + 1)
-        flagged[s - 1 : lo - 1, s - 1] = True  # windows ending before any usable row
-        for t in range(lo, T + 1):
-            u = U[t - 1]
-            e = values[t - 1] - u @ coef
-            Pu = P @ u
-            denom = 1.0 + u @ Pu
-            P -= np.outer(Pu, Pu) / denom
-            coef = coef + (Pu / denom) * e
-            v += e * e / denom
-            if t - lo + 1 <= order + 1:
-                flagged[t - 1, s - 1] = True
-            else:
-                by_end[t - 1, s - 1] = max(v - delta * (coef @ coef), 0.0)
-        if s <= order:
-            boundary[s - 1 :, s - 1] = True
-    return CostMatrix(
-        by_end=by_end,
-        model_tag="ar",
-        model_params={"order": order, "delta": delta},
-        flagged=flagged,
-        boundary=boundary,
-    )
-
-
-# ---------------------------------------------------------------------------
-# polynomial trend model
-# ---------------------------------------------------------------------------
-
 def poly_cost(
     x: TimeSeries, s: int, t: int, degree: int
 ) -> tuple[float, np.ndarray]:
@@ -305,40 +210,155 @@ def poly_cost(
     return float(r @ r), coef
 
 
-def precompute_poly_cost(x: TimeSeries, degree: int) -> CostMatrix:
-    """Polynomial cost table; short windows are stored as 0 and flagged."""
-    T = len(x)
-    if T <= degree + 1:
-        raise ValueError(f"series of length {T} too short for degree {degree}")
-    by_end = np.zeros((T, T))
-    flagged = np.zeros((T, T), dtype=bool)
-    for t in range(1, T + 1):
-        for s in range(1, t + 1):
-            if t - s + 1 <= degree + 1:
-                flagged[t - 1, s - 1] = True
-            else:
-                by_end[t - 1, s - 1] = poly_cost(x, s, t, degree)[0]
-    return CostMatrix(
-        by_end=by_end,
-        model_tag="poly",
-        model_params={"order": degree},
-        flagged=flagged,
-    )
+# ---------------------------------------------------------------------------
+# the least-squares kernel
+# ---------------------------------------------------------------------------
+
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return np.einsum("...i,...i->...", a, b)
+
+
+def _solve(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Least-squares coefficients from stacked normal equations gram c = rhs.
+
+    Each system is scaled to a unit diagonal (Jacobi) and solved in one
+    batched ``np.linalg.solve``.  A system the solve cannot be trusted on,
+    because it is singular or its scaled coefficients lie along a direction
+    the Gram matrix barely spans (a Rayleigh quotient under ``_RCOND``), is
+    solved by a pseudo-inverse instead: the minimum-norm fit over the
+    directions the Gram matrix resolves, which for an exactly singular
+    system still reaches the least-squares minimum.
+    """
+    diag = np.diagonal(gram, axis1=-2, axis2=-1)
+    scale = np.sqrt(np.where(diag > 0.0, diag, 1.0))
+    g = gram / (scale[..., :, None] * scale[..., None, :])
+    r = rhs / scale
+    try:
+        c = np.linalg.solve(g, r[..., None])[..., 0]
+        bad = ~(_RCOND * _dot(c, c) <= _dot(c, r))  # also catches NaN
+    except np.linalg.LinAlgError:
+        c = np.empty_like(r)
+        bad = np.ones(r.shape[:-1], dtype=bool)
+    if bad.any():
+        pinv = np.linalg.pinv(g[bad], rcond=_RCOND, hermitian=True)
+        c[bad] = (pinv @ r[bad][..., None])[..., 0]
+    return c / scale
+
+
+def _group_fit(
+    design: np.ndarray, target: np.ndarray, groups: np.ndarray, n_groups: int
+) -> np.ndarray:
+    """Least-squares coefficients of ``target`` on ``design`` within each
+    group of rows (``groups`` labels rows 0..n_groups-1), by :func:`_solve`.
+
+    As in the cost kernel, the target and the columns after the first (the
+    intercept, which absorbs the shift) are centred, so a series far from
+    zero keeps its precision.  A group without rows gets the target's mean.
+    """
+    shift = design.mean(axis=0)
+    shift[0] = 0.0
+    centre = target.mean()
+    u = design - shift
+    d = design.shape[1]
+    gram = np.zeros((n_groups, d, d))
+    np.add.at(gram, groups, u[:, :, None] * u[:, None, :])
+    rhs = np.zeros((n_groups, d))
+    np.add.at(rhs, groups, u * (target - centre)[:, None])
+    coefs = _solve(gram, rhs)
+    coefs[:, 0] += centre - coefs[:, 1:] @ shift[1:]
+    return coefs
+
+
+class _ColumnKernel:
+    """Costs of every window [s, t] ending at a given t, for one series.
+
+    Centring x (the intercept absorbs it), the design rows, their outer
+    products and the charged-row weights are worked out once per series.
+    ar rows are indexed by the time u; means and poly rows by the age t - u
+    (means is the degree-0 polynomial).  A column takes suffix sums over the
+    rows u = t, t-1, ..., 1 and one solve for the identified windows; a
+    window with at most d charged rows is stored as 0.
+    """
+
+    def __init__(self, values: np.ndarray, model: str, order: int):
+        x = values - values.mean()
+        T = x.size
+        weight = np.ones(T)
+        if model == "ar":
+            design = lag_matrix(x, order)
+            weight[:order] = 0.0
+        else:
+            design = np.vander(np.arange(float(T)), order + 1, increasing=True)
+        self.d = design.shape[1]
+        self.by_age = model != "ar"
+        self.design = design
+        self.outer = design[:, :, None] * design[:, None, :] * weight[:, None, None]
+        self.wx = weight * x
+        self.wxx = self.wx * x
+        self.charged = np.concatenate([[0.0], np.cumsum(weight)])
+        self.lengths = np.arange(1.0, T + 1.0)
+
+    def column(self, t: int) -> tuple[np.ndarray, int]:
+        """Costs d[s, t] for s = 1..t, and the number of under-determined
+        windows, which are the last ones (s near t) and are stored as 0."""
+        # Sums run over the rows u = t, t-1, ..., 1: entry i is the window
+        # [t-i, t], and the result is reversed into s order at the end.
+        rows = slice(t - 1, None, -1)
+        wx = self.wx[rows]
+        cost = np.cumsum(self.wxx[rows])
+        lo = t - int(np.searchsorted(self.charged[:t], self.charged[t] - self.d))
+        if self.d == 1:  # the design is [1] and every row is charged
+            b = np.cumsum(wx)
+            cost -= b * b / self.lengths[:t]
+        else:
+            u = slice(None, t) if self.by_age else rows
+            gram = np.cumsum(self.outer[u], axis=0)[lo:]
+            rhs = np.cumsum(self.design[u] * wx[:, None], axis=0)[lo:]
+            cost[lo:] -= _dot(rhs, _solve(gram, rhs))
+        cost[:lo] = 0.0
+        np.maximum(cost, 0.0, out=cost)
+        return cost[::-1], lo
+
+
+def means_cost_column(values: np.ndarray, t: int) -> np.ndarray:
+    """One column d[s, t], s = 1..t, of the means cost table."""
+    values = np.asarray(values, dtype=np.float64)
+    return _ColumnKernel(values, "means", 0).column(t)[0]
 
 
 def build_cost_matrix(
-    x: TimeSeries,
-    model: str = "means",
-    order: int | None = None,
-    delta: float = 1e-6,
+    x: TimeSeries, model: str = "means", order: int | None = None
 ) -> CostMatrix:
-    """Dispatch to the matrix builder for ``model`` in {means, ar, poly}."""
+    """Cost table of ``model`` in {means, ar, poly}, one kernel column per t.
+
+    ``order`` is the lag count of ar and the degree of poly.  ar and poly
+    tables flag their under-determined windows; ar tables also mark the
+    windows that start in the first ``order`` positions as boundary windows.
+    """
+    T = len(x)
     if model == "means":
-        return precompute_means_cost(x)
-    if order is None:
+        order = 0
+    elif model not in ("ar", "poly"):
+        raise ValueError(f"unknown cost model {model!r}")
+    elif order is None:
         raise ValueError(f"cost model {model!r} needs an order")
+    elif T <= order + 1:
+        raise ValueError(f"series of length {T} too short for order {order}")
+    kernel = _ColumnKernel(x.values, model, order)
+    by_end = np.zeros((T, T))
+    flagged = None if model == "means" else np.zeros((T, T), dtype=bool)
+    for t in range(1, T + 1):
+        by_end[t - 1, :t], lo = kernel.column(t)
+        if flagged is not None:
+            flagged[t - 1, t - lo : t] = True
+    boundary = None
     if model == "ar":
-        return precompute_ar_cost(x, order, delta)
-    if model == "poly":
-        return precompute_poly_cost(x, order)
-    raise ValueError(f"unknown cost model {model!r}")
+        boundary = np.tri(T, dtype=bool)
+        boundary[:, order:] = False
+    return CostMatrix(
+        by_end=by_end,
+        model_tag=model,
+        model_params={"order": order},
+        flagged=flagged,
+        boundary=boundary,
+    )

@@ -10,8 +10,8 @@ of cutting the prefix [1..t] into exactly k segments,
 and the minimizing s values are kept for backtracking.  The minimization
 phase is O(K T^2); the fill is vectorized over k, so each t takes one
 2-D argmin over all orders at once.  For the means model the cost columns
-can also be produced on the fly, so the table never has to be
-materialized.
+can also be produced on the fly by the table's own column kernel, so the
+table never has to be materialized.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from typing import Callable
 import numpy as np
 
 from .core import Segmentation, TimeSeries
-from .costs import CostMatrix, means_cost_column
+from .costs import CostMatrix, _ColumnKernel
 
 __all__ = [
     "DpResult",
@@ -119,15 +119,16 @@ def dp_segment_streaming_means(
 ) -> list[DpResult]:
     """Means-model dynamic program with O(T) memory for costs.
 
-    Each cost column is produced on the fly with the same recursion the
-    dense builder uses, so results match :func:`dp_segment` over a
-    precomputed means table bit-for-bit.
+    Each cost column is produced on the fly by the kernel the dense builder
+    uses, so results match :func:`dp_segment` over a means table from
+    :func:`build_cost_matrix` bit-for-bit.
     """
     T = len(x)
     if not 1 <= k_max <= T:
         raise ValueError(f"k_max must be in [1, {T}], got {k_max}")
+    kernel = _ColumnKernel(x.values, "means", 0)
     c, back = _run_dp(
-        lambda t: means_cost_column(x.values, t), T, k_max, max(1, min_segment_length)
+        lambda t: kernel.column(t)[0], T, k_max, max(1, min_segment_length)
     )
     return [
         DpResult(k, _backtrack(back, k, T), float(c[k, T]))

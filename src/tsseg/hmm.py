@@ -42,7 +42,7 @@ from .core import (
     segmentation_cost,
     segmentation_from_states,
 )
-from .costs import lag_matrix
+from .costs import _group_fit, lag_matrix
 
 __all__ = [
     "HmmParams",
@@ -296,7 +296,7 @@ class _MeansModel:
 
 
 class _ArModel:
-    """Per-state autoregressions (ridge-seeded least squares per segment).
+    """Per-state autoregressions, least squares by the cost kernel's solve.
 
     As in the DP cost tables (:func:`ar_cost_exact`), the first ``order``
     observations, whose lags are clamped, are neither fitted nor charged.
@@ -304,25 +304,23 @@ class _ArModel:
     path to the transition terms.
     """
 
-    def __init__(self, x: TimeSeries, K: int, order: int, delta: float):
+    def __init__(self, x: TimeSeries, K: int, order: int):
         self.values = x.values
         self.K = K
         self.order = order
-        self.delta = delta
         self.U = lag_matrix(x.values, order)
-        self.eye = np.eye(order + 1)
         self.charged = np.arange(len(x)) >= order
 
     def refit(self, states: np.ndarray, prev: np.ndarray | None) -> np.ndarray:
         coefs = (
             np.zeros((self.K, self.order + 1)) if prev is None else prev.copy()
         )
-        for k in np.unique(states[self.charged]):
-            rows = (states == k) & self.charged
-            Uk = self.U[rows]
-            coefs[k - 1] = np.linalg.solve(
-                Uk.T @ Uk + self.delta * self.eye, Uk.T @ self.values[rows]
-            )
+        rows = states[self.charged] - 1
+        used = np.unique(rows)
+        fits = _group_fit(
+            self.U[self.charged], self.values[self.charged], rows, self.K
+        )
+        coefs[used] = fits[used]
         return coefs
 
     def log_emissions(self, params: np.ndarray, sigma: float) -> np.ndarray:
@@ -393,7 +391,6 @@ def hmm_segment(
     *,
     model: str = "means",
     order: int = 1,
-    delta: float = 1e-6,
     epsilon: float = 1e-9,
     max_iter: int = 100,
     restarts: int = 0,
@@ -426,7 +423,7 @@ def hmm_segment(
     if model == "means":
         fitter = _MeansModel(x, K)
     elif model == "ar":
-        fitter = _ArModel(x, K, order, delta)
+        fitter = _ArModel(x, K, order)
     else:
         raise ValueError(f"unsupported model {model!r} (use 'means' or 'ar')")
     sigma = max(global_sigma(x), sigma_min)

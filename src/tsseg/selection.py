@@ -28,7 +28,7 @@ from statistics import NormalDist
 import numpy as np
 
 from .core import Segmentation, TimeSeries, segment_stats, segmentation_cost
-from .costs import build_cost_matrix, lag_matrix
+from .costs import _group_fit, build_cost_matrix, lag_matrix
 from .dp import dp_segment
 from .hmm import hmm_segment
 
@@ -78,9 +78,9 @@ def _betacf(a: float, b: float, x: float) -> float:
         if abs(c) < tiny:
             c = tiny
         d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < 1e-15:
+        step = d * c
+        h *= step
+        if abs(step - 1.0) < 1e-15:
             return h
     raise RuntimeError("incomplete beta continued fraction did not converge")
 
@@ -274,48 +274,43 @@ class SelectionReport:
 
 
 def _segment_fits(
-    x: TimeSeries, t: Segmentation, cost_model: str, order: int, delta: float
-) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
-    """Ridge-seeded least-squares fit of the model on each segment of ``t``.
+    x: TimeSeries, t: Segmentation, cost_model: str, order: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Least-squares fit of the model on each segment of ``t``, by the cost
+    kernel's solve.
 
     Returns the fitted value at every index, a mask of the indices the fits
-    are charged on, and the coefficients of each segment.  An AR fit leaves
-    out the first ``order`` observations of the series, whose lags are
-    clamped, exactly as the DP cost tables do (:func:`ar_cost_exact`); its
-    fitted values there are only for display.
+    are charged on, and the coefficients of each segment (one row each).
+    An AR fit leaves out the first ``order`` observations of the series,
+    whose lags are clamped, exactly as the DP cost tables do
+    (:func:`ar_cost_exact`); its fitted values there are only for display.
+    A polynomial is fitted in the within-segment offset 1..n, as in
+    :func:`poly_cost`.
     """
-    fitted = np.empty(len(x))
-    charged = np.ones(len(x), dtype=bool)
-    coefs = []
-    eye = np.eye(order + 1)
+    T = len(x)
+    charged = np.ones(T, dtype=bool)
+    segment = np.repeat(np.arange(t.order), np.diff(t.change_points))
     if cost_model == "ar":
-        U = lag_matrix(x.values, order)
+        design = lag_matrix(x.values, order)
         charged[:order] = False
-    elif cost_model != "poly":
+    elif cost_model == "poly":
+        offset = np.arange(1.0, T + 1.0) - np.asarray(t.change_points[:-1])[segment]
+        design = np.vander(offset, order + 1, increasing=True)
+    else:
         raise ValueError(f"no residual model for {cost_model!r}")
-    for start, end in t.segments():
-        rows = slice(start - 1, end)
-        if cost_model == "ar":
-            design = U[rows]
-        else:
-            n = end - start + 1
-            design = np.vander(np.arange(1.0, n + 1.0), order + 1, increasing=True)
-        used = charged[rows]
-        coef = np.linalg.solve(
-            design[used].T @ design[used] + delta * eye,
-            design[used].T @ x.values[rows][used],
-        )
-        fitted[rows] = design @ coef
-        coefs.append(coef)
+    coefs = _group_fit(
+        design[charged], x.values[charged], segment[charged], t.order
+    )
+    fitted = np.einsum("ij,ij->i", design, coefs[segment])
     return fitted, charged, coefs
 
 
 def _segment_residuals(
-    x: TimeSeries, t: Segmentation, cost_model: str, order: int, delta: float
+    x: TimeSeries, t: Segmentation, cost_model: str, order: int
 ) -> np.ndarray:
     """Pooled prediction errors of the per-segment model fits, over the
     indices the fits are charged on (see :func:`_segment_fits`)."""
-    fitted, charged, _ = _segment_fits(x, t, cost_model, order, delta)
+    fitted, charged, _ = _segment_fits(x, t, cost_model, order)
     return (x.values - fitted)[charged]
 
 
@@ -328,7 +323,6 @@ def select_order(
     p: float = 0.9,
     alpha: float = 0.05,
     k_max: int = 10,
-    delta: float = 1e-6,
     epsilon: float = 1e-9,
     max_iter: int = 100,
     restarts: int = 0,
@@ -360,11 +354,14 @@ def select_order(
     if algorithm not in ("hmm", "dp"):
         raise ValueError(f"unknown algorithm {algorithm!r}")
     if algorithm == "hmm" and cost_model == "poly":
-        raise ValueError("the iterative segmenter does not support 'poly'")
+        raise ValueError(
+            "cost model 'poly' is only available with the dp algorithm "
+            "(the HMM has no polynomial emission model)"
+        )
 
     dp_results = None
     if algorithm == "dp":
-        matrix = build_cost_matrix(x, cost_model, order=order, delta=delta)
+        matrix = build_cost_matrix(x, cost_model, order=order)
         dp_results = dp_segment(matrix, k_max, min_segment_length)
 
     contrast = cost_model == "means"
@@ -376,7 +373,7 @@ def select_order(
             seg, cost = res.segmentation, res.cost
         elif K == 1:
             seg = Segmentation((0, T))
-            residuals = _segment_residuals(x, seg, cost_model, order, delta)
+            residuals = _segment_residuals(x, seg, cost_model, order)
             cost = float(residuals @ residuals)
         else:
             seg, trace = hmm_segment(
@@ -385,7 +382,6 @@ def select_order(
                 p,
                 model=cost_model,
                 order=order,
-                delta=delta,
                 epsilon=epsilon,
                 max_iter=max_iter,
                 restarts=restarts,
@@ -402,7 +398,7 @@ def select_order(
             else:
                 statistic, threshold, ok = float("nan"), float("nan"), False
         else:
-            residuals = _segment_residuals(x, seg, cost_model, order, delta)
+            residuals = _segment_residuals(x, seg, cost_model, order)
             verdict = residual_whiteness(residuals, alpha)
             statistic = verdict.lag1
             threshold = verdict.band

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import StateSequence, TimeSeries, states_from_segmentation
-from .costs import precompute_means_cost
+from .costs import build_cost_matrix
 from .dp import dp_segment
 from .hmm import hmm_segment
 
@@ -179,7 +179,7 @@ def run_benchmark(
                     )
                     z_hat = trace.final_states
                 else:
-                    matrix = precompute_means_cost(x)
+                    matrix = build_cost_matrix(x)
                     result = dp_segment(matrix, K)[K - 1]
                     z_hat = states_from_segmentation(result.segmentation)
                 elapsed = clock() - start

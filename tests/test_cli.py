@@ -120,3 +120,85 @@ def test_header_row_skipped_and_labels_reported(tmp_path):
     # t_0 = 0 maps to the label before the first one
     assert result["change_point_labels"] == [1900, 1920, 1940]
     assert [s["start_label"] for s in result["segments"]] == [1901, 1921]
+
+
+TOP_KEYS = {"tool", "input", "config", "result"}
+RESULT_KEYS = {"order", "change_points", "change_point_labels", "cost", "segments"}
+SEGMENT_KEYS = {"index", "start", "end", "length", "mean", "deviation"}
+CONFIG_KEYS = {
+    "algorithm", "cost_model", "order", "K", "k_max", "select_order", "p",
+    "alpha", "epsilon", "restarts", "seed", "min_segment_length",
+}
+
+
+def check_common_keys(report, extra_top=(), extra_result=(), extra_segment=()):
+    assert set(report) == TOP_KEYS | set(extra_top)
+    assert set(report["tool"]) == {"name", "version"}
+    assert set(report["input"]) == {"path", "length", "value_column", "label_column"}
+    assert set(report["config"]) == CONFIG_KEYS
+    assert set(report["result"]) == RESULT_KEYS | set(extra_result)
+    for entry in report["result"]["segments"]:
+        assert set(entry) == SEGMENT_KEYS | set(extra_segment)
+
+
+def test_report_keys_of_a_poly_dp_run(tmp_path):
+    values = np.concatenate([np.linspace(0.0, 3.0, 30), np.linspace(5.0, 1.0, 30)])
+    values = values + 0.1 * np.random.default_rng(0).standard_normal(60)
+    report = segment(tmp_path, values, "--algo", "dp", "--cost", "poly(1)", "--K", "2")
+    check_common_keys(report, extra_segment={"coefficients"})
+    assert all(len(s["coefficients"]) == 2 for s in report["result"]["segments"])
+    dp = dp_segment(build_cost_matrix(TimeSeries(values), "poly", order=1), 2)[1]
+    assert report["result"]["change_points"] == list(dp.segmentation.change_points)
+    assert report["result"]["cost"] == pytest.approx(dp.cost, rel=1e-9)
+
+
+def test_report_keys_of_an_hmm_run(tmp_path):
+    values = np.repeat([0.0, 3.0, -1.0], 20)
+    report = segment(tmp_path, values, "--algo", "hmm", "--K", "3")
+    check_common_keys(
+        report, extra_top={"iterations"}, extra_result={"converged", "states_used"}
+    )
+    for it in report["iterations"]:
+        assert set(it) == {
+            "iteration", "log_likelihood", "cost", "states_used", "change_points",
+        }
+
+
+def test_report_keys_of_a_select_order_run(tmp_path):
+    values = ar1_series(1, [0.0, 3.0])
+    report = segment(
+        tmp_path, values, "--algo", "dp", "--cost", "ar(1)", "--select-order",
+        "--K-max", "4",
+    )
+    check_common_keys(report, extra_top={"selection"}, extra_segment={"coefficients"})
+    assert set(report["selection"]) == {"chosen_order", "attempts"}
+    for attempt in report["selection"]["attempts"]:
+        assert set(attempt) == {
+            "order", "significant", "statistic", "threshold", "cost", "collapsed",
+            "change_points",
+        }
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("--algo", "dp", "--cost", "ar(2)", "--K", "3"),
+        ("--algo", "hmm", "--select-order", "--K-max", "5"),
+    ],
+    ids=["dp-ar2", "hmm-select"],
+)
+def test_identical_runs_write_identical_files(tmp_path, args):
+    csv = tmp_path / "series.csv"
+    csv.write_text(
+        "".join(f"{float(v)!r}\n" for v in ar1_series(2, [0.0, 2.0, -1.0], n=40))
+    )
+    outputs = []
+    for run_index in (1, 2):
+        json_path = tmp_path / f"report{run_index}.json"
+        svg_path = tmp_path / f"plot{run_index}.svg"
+        rc = main(["segment", str(csv), *args, "--json", str(json_path),
+                   "--svg", str(svg_path)])
+        assert rc == 0
+        outputs.append((json_path.read_bytes(), svg_path.read_bytes()))
+    assert outputs[0] == outputs[1]
+    assert b"<svg" in outputs[0][1]

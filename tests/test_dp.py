@@ -5,12 +5,10 @@ from tsseg import (
     Segmentation,
     TimeSeries,
     brute_force_segment,
+    build_cost_matrix,
     dp_segment,
     dp_segment_streaming_means,
     min_cost_curve,
-    precompute_ar_cost,
-    precompute_means_cost,
-    precompute_poly_cost,
 )
 from tsseg.costs import means_cost_column
 from tsseg.dp import _run_dp
@@ -35,7 +33,7 @@ def per_order_dp(column, T, k_max, min_len):
 
 
 def test_two_level_series():
-    cm = precompute_means_cost(TimeSeries([1, 1, 5, 5]))
+    cm = build_cost_matrix(TimeSeries([1, 1, 5, 5]))
     results = dp_segment(cm, 2)
     assert results[0].segmentation.change_points == (0, 4)
     assert results[0].cost == pytest.approx(16.0)
@@ -48,7 +46,7 @@ def test_matches_brute_force_exactly():
     for trial in range(30):
         T = int(rng.integers(4, 16))
         x = TimeSeries(rng.standard_normal(T))
-        cm = precompute_means_cost(x)
+        cm = build_cost_matrix(x)
         kmax = min(4, T)
         results = dp_segment(cm, kmax)
         for k in range(1, kmax + 1):
@@ -57,21 +55,21 @@ def test_matches_brute_force_exactly():
 
 
 def test_min_cost_curve_values():
-    cm = precompute_means_cost(TimeSeries([1, 1, 5, 5]))
+    cm = build_cost_matrix(TimeSeries([1, 1, 5, 5]))
     curve = min_cost_curve(cm, 4)
     assert curve == pytest.approx([16.0, 0.0, 0.0, 0.0])
 
 
 def test_min_cost_curve_hand_enumeration():
     # [1,2,3]: one block costs 2; the best 2-split leaves 0.5; singletons 0
-    cm = precompute_means_cost(TimeSeries([1, 2, 3]))
+    cm = build_cost_matrix(TimeSeries([1, 2, 3]))
     assert min_cost_curve(cm, 3) == pytest.approx([2.0, 0.5, 0.0])
 
 
 def test_min_cost_curve_nonincreasing_and_ends_at_zero():
     rng = np.random.default_rng(42)
     x = TimeSeries(rng.standard_normal(18))
-    curve = min_cost_curve(precompute_means_cost(x), 18)
+    curve = min_cost_curve(build_cost_matrix(x), 18)
     assert np.all(np.diff(curve) <= 1e-12)
     assert curve[-1] == 0.0
 
@@ -81,14 +79,14 @@ def test_refinement_monotonicity_at_the_optimum():
     for _ in range(10):
         T = int(rng.integers(5, 21))
         x = TimeSeries(rng.standard_normal(T))
-        curve = min_cost_curve(precompute_means_cost(x), min(T, 6))
+        curve = min_cost_curve(build_cost_matrix(x), min(T, 6))
         assert np.all(np.diff(curve) <= 1e-12)
 
 
 def test_streaming_matches_dense_bit_for_bit():
     rng = np.random.default_rng(7)
     x = TimeSeries(rng.standard_normal(80) * 2.5)
-    dense = dp_segment(precompute_means_cost(x), 6)
+    dense = dp_segment(build_cost_matrix(x), 6)
     streaming = dp_segment_streaming_means(x, 6)
     for a, b in zip(dense, streaming):
         assert a.cost == b.cost
@@ -97,20 +95,20 @@ def test_streaming_matches_dense_bit_for_bit():
 
 def test_tie_break_prefers_earliest_change_point():
     # both splits of a constant series cost 0; the earliest must win
-    cm = precompute_means_cost(TimeSeries([2.0, 2.0, 2.0]))
+    cm = build_cost_matrix(TimeSeries([2.0, 2.0, 2.0]))
     res = dp_segment(cm, 2)[1]
     assert res.segmentation.change_points == (0, 1, 3)
 
 
 def test_singleton_orders():
-    cm = precompute_means_cost(TimeSeries([4, 3, 9, 1, 5.0]))
+    cm = build_cost_matrix(TimeSeries([4, 3, 9, 1, 5.0]))
     res = dp_segment(cm, 5)[4]
     assert res.cost == 0.0
     assert res.segmentation.change_points == (0, 1, 2, 3, 4, 5)
 
 
 def test_k_max_validation():
-    cm = precompute_means_cost(TimeSeries([1.0, 2.0]))
+    cm = build_cost_matrix(TimeSeries([1.0, 2.0]))
     with pytest.raises(ValueError):
         dp_segment(cm, 3)
     with pytest.raises(ValueError):
@@ -118,7 +116,7 @@ def test_k_max_validation():
 
 
 def test_brute_force_guard():
-    cm = precompute_means_cost(TimeSeries(np.arange(26.0)))
+    cm = build_cost_matrix(TimeSeries(np.arange(26.0)))
     with pytest.raises(ValueError):
         brute_force_segment(cm, 2)
 
@@ -126,7 +124,7 @@ def test_brute_force_guard():
 def test_min_segment_length_respected():
     rng = np.random.default_rng(3)
     x = TimeSeries(rng.standard_normal(20))
-    cm = precompute_means_cost(x)
+    cm = build_cost_matrix(x)
     for res in dp_segment(cm, 5, min_segment_length=3):
         lengths = np.diff(res.segmentation.change_points)
         assert lengths.min() >= 3
@@ -135,7 +133,7 @@ def test_min_segment_length_respected():
 def test_ar_matrix_avoids_flagged_windows():
     rng = np.random.default_rng(9)
     x = TimeSeries(rng.standard_normal(40))
-    cm = precompute_ar_cost(x, 2)
+    cm = build_cost_matrix(x, "ar", order=2)
     results = dp_segment(cm, 4)
     for res in results:
         assert not res.used_flagged
@@ -146,7 +144,7 @@ def test_ar_matrix_avoids_flagged_windows():
 def test_ar_matrix_brute_force_agreement():
     rng = np.random.default_rng(31)
     x = TimeSeries(rng.standard_normal(20))
-    cm = precompute_ar_cost(x, 1)
+    cm = build_cost_matrix(x, "ar", order=1)
     results = dp_segment(cm, 3)
     for k in (1, 2, 3):
         assert results[k - 1].cost == brute_force_segment(cm, k).cost
@@ -163,7 +161,7 @@ def test_hmm_cost_never_beats_dp():
             )
         )
         seg, trace = hmm_segment(x, 3, 0.9)
-        dp_cost = dp_segment(precompute_means_cost(x), 3)[2].cost
+        dp_cost = dp_segment(build_cost_matrix(x), 3)[2].cost
         assert segmentation_cost(x, seg) >= dp_cost - 1e-9
 
 
@@ -175,11 +173,11 @@ def test_fill_is_bit_identical_to_per_order_reference(model):
         # a coarse grid of values makes tied candidates common
         x = TimeSeries(np.round(rng.normal(0.0, 2.0, T)))
         if model == "means":
-            cm = precompute_means_cost(x)
+            cm = build_cost_matrix(x)
         elif model == "ar(2)":
-            cm = precompute_ar_cost(x, 2)
+            cm = build_cost_matrix(x, "ar", order=2)
         else:
-            cm = precompute_poly_cost(x, 1)
+            cm = build_cost_matrix(x, "poly", order=1)
         k_max = min(T, 8)
         masked = (lambda t: cm.column(t, masked=True), T, k_max,
                   cm.default_min_segment_length)
@@ -206,7 +204,7 @@ def test_permissive_pass_supplies_infeasible_orders():
     # charged, so 16 points hold at most 3 segments; orders 4 to 6 come from
     # the permissive pass over flagged windows
     rng = np.random.default_rng(21)
-    cm = precompute_ar_cost(TimeSeries(rng.standard_normal(16)), 2)
+    cm = build_cost_matrix(TimeSeries(rng.standard_normal(16)), "ar", order=2)
     results = dp_segment(cm, 6)
     assert [r.used_flagged for r in results] == [False] * 3 + [True] * 3
     ref_c, ref_back = per_order_dp(lambda t: cm.column(t, masked=False), 16, 6, 1)

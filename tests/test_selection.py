@@ -183,3 +183,17 @@ class TestSelectOrder:
     def test_unknown_algorithm(self):
         with pytest.raises(ValueError):
             select_order(self.make_three_levels(), "annealing", "means")
+
+
+@pytest.mark.parametrize("model", ["ar", "poly"])
+def test_segment_fits_reach_the_dp_objective_far_from_zero(model):
+    # the report's cost comes from these fits; on a series at a level of
+    # 1e6 an uncentred design loses about six digits of it
+    from tsseg import build_cost_matrix, dp_segment
+    from tsseg.selection import _segment_residuals
+
+    rng = np.random.default_rng(0)
+    x = TimeSeries(1e6 + rng.standard_normal(200))
+    res = dp_segment(build_cost_matrix(x, model, order=2), 3)[2]
+    r = _segment_residuals(x, res.segmentation, model, 2)
+    assert float(r @ r) == pytest.approx(res.cost, rel=1e-9)
