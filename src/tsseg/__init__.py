@@ -9,7 +9,8 @@ The package provides two segmenters over pluggable segment-cost models:
 
 Cost models cover piecewise-constant means, per-segment autoregressions,
 and per-segment polynomial trends, with statistical order selection and a
-synthetic benchmark harness.  See the README and the demos/ directory.
+synthetic benchmark harness.  ``tsseg --help`` lists the command-line
+options, and bench/README.md describes the performance benchmark.
 """
 
 from .core import (

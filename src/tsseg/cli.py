@@ -26,12 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import __version__
-from .core import (
-    Segmentation,
-    TimeSeries,
-    segment_stats,
-    segmentation_cost,
-)
+from .core import Segmentation, TimeSeries, segment_stats
 from .costs import CostMatrix, SingularWindowError, build_cost_matrix
 from .dp import dp_segment
 from .hmm import EmTrace, hmm_segment
@@ -76,8 +71,6 @@ class RunConfig:
     p: float = 0.9
     alpha: float = 0.05
     epsilon: float = 1e-9
-    restarts: int = 0
-    seed: int | None = None
     min_segment_length: int | None = None
     json_path: str | None = None
     svg_path: str | None = None
@@ -189,14 +182,6 @@ def _segment_payload(x: TimeSeries, seg: Segmentation, cfg: RunConfig) -> list[d
     return payload
 
 
-def _fitted_values(x: TimeSeries, seg: Segmentation, cfg: RunConfig) -> np.ndarray:
-    if cfg.cost_model == "means":
-        return np.concatenate(
-            [np.full(s.length, s.mean) for s in segment_stats(x, seg)]
-        )
-    return _segment_fits(x, seg, cfg.cost_model, cfg.order)[0]
-
-
 def _trace_payload(trace: EmTrace) -> list[dict]:
     return [
         {
@@ -267,8 +252,6 @@ def cmd_segment(cfg: RunConfig) -> int:
             alpha=cfg.alpha,
             k_max=cfg.k_max,
             epsilon=cfg.epsilon,
-            restarts=cfg.restarts,
-            seed=cfg.seed,
             min_segment_length=cfg.min_segment_length,
         )
         chosen = selection.chosen_order
@@ -288,8 +271,6 @@ def cmd_segment(cfg: RunConfig) -> int:
             model=cfg.cost_model,
             order=cfg.order,
             epsilon=cfg.epsilon,
-            restarts=cfg.restarts,
-            seed=cfg.seed,
         )
     else:
         if cfg.K is None:
@@ -300,11 +281,8 @@ def cmd_segment(cfg: RunConfig) -> int:
         ].segmentation
     elapsed_ms = 1000.0 * (time.perf_counter() - started)
 
-    if cfg.cost_model == "means":
-        cost = segmentation_cost(x, seg)
-    else:
-        residuals = _segment_residuals(x, seg, cfg.cost_model, cfg.order)
-        cost = float(residuals @ residuals)
+    residuals = _segment_residuals(x, seg, cfg.cost_model, cfg.order)
+    cost = float(residuals @ residuals)
 
     report = {
         "tool": {"name": "tsseg", "version": __version__},
@@ -324,8 +302,6 @@ def cmd_segment(cfg: RunConfig) -> int:
             "p": cfg.p,
             "alpha": cfg.alpha,
             "epsilon": cfg.epsilon,
-            "restarts": cfg.restarts,
-            "seed": cfg.seed,
             "min_segment_length": cfg.min_segment_length,
         },
         "result": {
@@ -355,10 +331,11 @@ def cmd_segment(cfg: RunConfig) -> int:
         sys.stdout.write(text)
 
     if cfg.svg_path:
+        fitted, _, _ = _segment_fits(x, seg, cfg.cost_model, cfg.order)
         with open(cfg.svg_path, "w", encoding="utf-8") as fh:
             fh.write(
                 segmentation_svg(
-                    x, seg, fitted=_fitted_values(x, seg, cfg),
+                    x, seg, fitted=fitted,
                     title=f"{cfg.algorithm}/{cfg.cost_model} order {seg.order}",
                 )
             )
@@ -388,7 +365,6 @@ def cmd_benchmark(args: argparse.Namespace) -> int:
         args.replicates,
         algorithm=args.algo,
         seed=args.seed,
-        restarts=args.restarts,
     )
     csv_text = table.to_csv()
     if args.csv:
@@ -436,9 +412,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="significance level (default 0.05)")
     seg.add_argument("--epsilon", type=float, default=1e-9,
                      help="log-likelihood convergence tolerance")
-    seg.add_argument("--restarts", type=int, default=0,
-                     help="random restarts for the iterative segmenter")
-    seg.add_argument("--seed", type=int, default=None)
     seg.add_argument("--min-seg-len", type=int, default=None,
                      dest="min_seg_len", help="minimum segment length")
     seg.add_argument("--json", default=None, metavar="PATH",
@@ -458,7 +431,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     bench.add_argument("--replicates", type=int, default=20)
     bench.add_argument("--algo", choices=("hmm", "dp"), default="hmm")
-    bench.add_argument("--restarts", type=int, default=0)
     bench.add_argument("--seed", type=int, default=0)
     bench.add_argument("--csv", default=None, metavar="PATH",
                        help="write the CSV here (and print text tables); "
@@ -485,8 +457,6 @@ def main(argv: list[str] | None = None) -> int:
                 p=args.p,
                 alpha=args.alpha,
                 epsilon=args.epsilon,
-                restarts=args.restarts,
-                seed=args.seed,
                 min_segment_length=args.min_seg_len,
                 json_path=args.json,
                 svg_path=args.svg,

@@ -249,17 +249,22 @@ def _group_fit(
     design: np.ndarray, target: np.ndarray, groups: np.ndarray, n_groups: int
 ) -> np.ndarray:
     """Least-squares coefficients of ``target`` on ``design`` within each
-    group of rows (``groups`` labels rows 0..n_groups-1), by :func:`_solve`.
+    group of rows (``groups`` labels rows 0..n_groups-1), by :func:`_solve`,
+    or for the design [1] by the closed form, the group mean.
 
     As in the cost kernel, the target and the columns after the first (the
     intercept, which absorbs the shift) are centred, so a series far from
     zero keeps its precision.  A group without rows gets the target's mean.
     """
+    centre = target.mean()
+    d = design.shape[1]
+    if d == 1:  # the design is [1]: the fit is the group mean
+        counts = np.bincount(groups, minlength=n_groups)
+        sums = np.bincount(groups, weights=target - centre, minlength=n_groups)
+        return (centre + sums / np.maximum(counts, 1))[:, None]
     shift = design.mean(axis=0)
     shift[0] = 0.0
-    centre = target.mean()
     u = design - shift
-    d = design.shape[1]
     gram = np.zeros((n_groups, d, d))
     np.add.at(gram, groups, u[:, :, None] * u[:, None, :])
     rhs = np.zeros((n_groups, d))

@@ -3,9 +3,10 @@
 The chain has K states, stays in state k with probability p, moves to k+1
 with probability 1-p, and never moves otherwise (the last state is
 absorbing).  Observations are conditionally Gaussian around a per-state
-mean with one shared sigma; emission densities are used without their
-normalization constant, so joint log-likelihoods here are comparable to
-each other but not to fully normalized densities.
+least-squares fit (a mean, or an autoregression) with one shared sigma;
+emission densities are used without their normalization constant, so joint
+log-likelihoods here are comparable to each other but not to fully
+normalized densities.
 
 Segmentation alternates two exact steps until the likelihood settles:
 re-estimate per-state parameters from the current segmentation, then
@@ -20,9 +21,12 @@ Because the chain only stays or moves up by one, the best score of state
 k at time t is the best over its entry times tau of the score of reaching
 state k-1 at tau-1, one move, and the stays and emissions of state k from
 tau to t.  Given state k-1's scores at every time, that is one max-plus
-scan per state, evaluated with vectorized doubling rounds.  Ties go to
-the latest entry into a state and, at the end of the series, to the
-lowest state, as in the time-major recursion.
+scan per state, evaluated with vectorized doubling rounds.  Ties that are
+exact in floating point go to the latest entry into a state and, at the
+end of the series, to the lowest state, as in the time-major recursion.
+Paths that tie only in exact arithmetic (a noiseless series has many)
+are scored by sums taken in a different order, so which of them comes
+back is decided by rounding and is unspecified.
 """
 
 from __future__ import annotations
@@ -39,7 +43,6 @@ from .core import (
     TimeSeries,
     _freeze,
     global_sigma,
-    segmentation_cost,
     segmentation_from_states,
 )
 from .costs import _group_fit, lag_matrix
@@ -147,10 +150,12 @@ def _decode(log_emissions: np.ndarray, p: float) -> tuple[np.ndarray, float]:
     span many orders of magnitude the stay costs vanish next to a large
     C_k and the decoded path degrades.
 
-    Ties follow the time-major rule: entering beats staying when their
-    scores are equal, so a state is entered as late as possible, and the
-    final state is the lowest among the best.  The backtrack reads each
-    state's entry time off those comparisons and takes K steps.
+    Ties follow the time-major rule where the compared floating-point
+    scores are equal: entering beats staying, so a state is entered as late
+    as possible, and the final state is the lowest among the best.  Paths
+    that tie only in exact arithmetic may round apart, and which of them
+    is returned is unspecified.  The backtrack reads each state's entry
+    time off those comparisons and takes K steps.
     """
     T, K = log_emissions.shape
     log_stay = np.full((K, 1), math.log(p))
@@ -204,7 +209,7 @@ class EmIteration:
     """One iterate: the decoded path paired with parameters refit to it."""
 
     iteration: int
-    params: np.ndarray       # (K,) means, or (K, order+1) AR coefficients
+    params: np.ndarray       # (K, order+1) coefficients; order 0 is the means
     segmentation: Segmentation
     log_likelihood: float    # joint log-likelihood of (path, refit params)
     cost: float              # total squared deviation / prediction error
@@ -219,7 +224,6 @@ class EmTrace:
     converged: bool
     in_phi_k: bool           # every iterate kept all K states
     collapsed: bool          # final iterate used fewer than K states
-    restart_index: int | None = None
 
     @property
     def iterations(self) -> int:
@@ -263,40 +267,10 @@ def _binary_split_states(values: np.ndarray, K: int) -> np.ndarray:
     return np.repeat(np.arange(1, K + 1), lengths)
 
 
-def _random_split_states(T: int, K: int, rng: np.random.Generator) -> np.ndarray:
-    cuts = np.sort(rng.choice(np.arange(1, T), size=K - 1, replace=False))
-    lengths = np.diff(np.concatenate([[0], cuts, [T]]))
-    return np.repeat(np.arange(1, K + 1), lengths)
-
-
-class _MeansModel:
-    """Per-state sample means; cost is the within-segment squared deviation."""
-
-    def __init__(self, x: TimeSeries, K: int):
-        self.values = x.values
-        self.K = K
-
-    def refit(self, states: np.ndarray, prev: np.ndarray | None) -> np.ndarray:
-        counts = np.bincount(states, minlength=self.K + 1)[1:]
-        sums = np.bincount(states, weights=self.values, minlength=self.K + 1)[1:]
-        means = (
-            np.full(self.K, self.values.mean()) if prev is None else prev.copy()
-        )
-        used = counts > 0
-        means[used] = sums[used] / counts[used]
-        return means
-
-    def log_emissions(self, params: np.ndarray, sigma: float) -> np.ndarray:
-        dev = self.values[:, None] - params[None, :]
-        return -(dev * dev) / (2.0 * sigma**2)
-
-    def cost(self, states: np.ndarray, params: np.ndarray) -> float:
-        dev = self.values - params[states - 1]
-        return float(dev @ dev)
-
-
-class _ArModel:
-    """Per-state autoregressions, least squares by the cost kernel's solve.
+class _LsqModel:
+    """Per-state least-squares fits of x_t on a fixed design row, by the
+    cost kernel's solve: [1] for means (order 0), [1, x_{t-1}, ...,
+    x_{t-order}] for an autoregression of the given order.
 
     As in the DP cost tables (:func:`ar_cost_exact`), the first ``order``
     observations, whose lags are clamped, are neither fitted nor charged.
@@ -309,41 +283,40 @@ class _ArModel:
         self.K = K
         self.order = order
         self.U = lag_matrix(x.values, order)
-        self.charged = np.arange(len(x)) >= order
+        self.design = self.U[order:]
+        self.target = self.values[order:]
 
     def refit(self, states: np.ndarray, prev: np.ndarray | None) -> np.ndarray:
-        coefs = (
-            np.zeros((self.K, self.order + 1)) if prev is None else prev.copy()
-        )
-        rows = states[self.charged] - 1
-        used = np.unique(rows)
-        fits = _group_fit(
-            self.U[self.charged], self.values[self.charged], rows, self.K
-        )
-        coefs[used] = fits[used]
+        """Coefficients refit to ``states``.  A state without rows keeps its
+        ``prev`` row; on the first fit it gets the mean of the series."""
+        rows = states[self.order :] - 1
+        coefs = _group_fit(self.design, self.target, rows, self.K)
+        if prev is not None:
+            unused = np.bincount(rows, minlength=self.K) == 0
+            coefs[unused] = prev[unused]
         return coefs
 
     def log_emissions(self, params: np.ndarray, sigma: float) -> np.ndarray:
         err = self.values[:, None] - self.U @ params.T
-        err[~self.charged] = 0.0
-        return -(err * err) / (2.0 * sigma**2)
+        err[: self.order] = 0.0
+        err *= err
+        err /= -2.0 * sigma**2
+        return err
 
     def cost(self, states: np.ndarray, params: np.ndarray) -> float:
-        err = self.values - np.einsum("ij,ij->i", self.U, params[states - 1])
-        err = err[self.charged]
+        rows = states[self.order :] - 1
+        err = self.target - np.einsum("ij,ij->i", self.design, params[rows])
         return float(err @ err)
 
 
 def _run_em(
     model,
-    x: TimeSeries,
     K: int,
     p: float,
     sigma: float,
     z0: np.ndarray,
     epsilon: float,
     max_iter: int,
-    restart_index: int | None,
 ) -> EmTrace:
     def record(i: int, states: np.ndarray, params: np.ndarray) -> EmIteration:
         cost = model.cost(states, params)
@@ -351,13 +324,14 @@ def _run_em(
             _transition_neg_log_likelihood(states, K, p)
             + cost / (2.0 * sigma**2)
         )
+        segmentation = segmentation_from_states(StateSequence(states))
         return EmIteration(
             iteration=i,
             params=params,
-            segmentation=segmentation_from_states(StateSequence(states)),
+            segmentation=segmentation,
             log_likelihood=loglik,
             cost=cost,
-            states_used=int(np.unique(states).size),
+            states_used=segmentation.order,
         )
 
     states = z0
@@ -380,7 +354,6 @@ def _run_em(
         converged=converged,
         in_phi_k=all(r.states_used == K for r in records),
         collapsed=records[-1].states_used < K,
-        restart_index=restart_index,
     )
 
 
@@ -393,8 +366,6 @@ def hmm_segment(
     order: int = 1,
     epsilon: float = 1e-9,
     max_iter: int = 100,
-    restarts: int = 0,
-    seed: int | None = None,
     sigma_min: float = SIGMA_FLOOR,
 ) -> tuple[Segmentation, EmTrace]:
     """Segment ``x`` into (at most) K blocks by iterated re-estimation and
@@ -404,14 +375,12 @@ def hmm_segment(
     on the means cost, for either model.  The paper's abstract does not say
     how the iteration is started; an equal split mixes regimes of unequal
     length and leaves hard EM at a poor local optimum, where this start
-    puts each state on one level of the data.  With ``restarts`` > 0, that
-    candidate plus ``restarts`` seeded random splits are all run to
-    convergence and the best final likelihood wins, with runs that kept all
-    K states preferred over collapsed ones.
+    puts each state on one level of the data.
 
     The shared sigma is estimated once from the whole series and held
-    fixed.  ``model`` selects the segment family: "means" (default) or
-    "ar" with the given ``order``.
+    fixed.  ``model`` selects the segment family: "means" (default), the
+    order-0 case of the least-squares state model, or "ar" with the given
+    ``order``.
     """
     T = len(x)
     if T < 2:
@@ -421,33 +390,11 @@ def hmm_segment(
     if not 0.0 < p < 1.0:
         raise ValueError("p must lie strictly between 0 and 1")
     if model == "means":
-        fitter = _MeansModel(x, K)
-    elif model == "ar":
-        fitter = _ArModel(x, K, order)
-    else:
+        order = 0
+    elif model != "ar":
         raise ValueError(f"unsupported model {model!r} (use 'means' or 'ar')")
     sigma = max(global_sigma(x), sigma_min)
-
-    inits: list[tuple[int | None, np.ndarray]] = [
-        (None, _binary_split_states(x.values, K))
-    ]
-    if restarts > 0:
-        rng = np.random.Generator(np.random.PCG64(seed))
-        inits = [(0, inits[0][1])] + [
-            (r, _random_split_states(T, K, rng)) for r in range(1, restarts + 1)
-        ]
-
-    best: EmTrace | None = None
-    for ridx, z0 in inits:
-        trace = _run_em(fitter, x, K, p, sigma, z0, epsilon, max_iter, ridx)
-        if best is None:
-            best = trace
-            continue
-        better = (not trace.collapsed, trace.final.log_likelihood) > (
-            not best.collapsed,
-            best.final.log_likelihood,
-        )
-        if better:
-            best = trace
-    assert best is not None
-    return best.final.segmentation, best
+    fitter = _LsqModel(x, K, order)
+    z0 = _binary_split_states(x.values, K)
+    trace = _run_em(fitter, K, p, sigma, z0, epsilon, max_iter)
+    return trace.final.segmentation, trace

@@ -27,7 +27,7 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .core import Segmentation, TimeSeries, segment_stats, segmentation_cost
+from .core import Segmentation, TimeSeries, segment_stats
 from .costs import _group_fit, build_cost_matrix, lag_matrix
 from .dp import dp_segment
 from .hmm import hmm_segment
@@ -281,18 +281,19 @@ def _segment_fits(
 
     Returns the fitted value at every index, a mask of the indices the fits
     are charged on, and the coefficients of each segment (one row each).
-    An AR fit leaves out the first ``order`` observations of the series,
-    whose lags are clamped, exactly as the DP cost tables do
-    (:func:`ar_cost_exact`); its fitted values there are only for display.
-    A polynomial is fitted in the within-segment offset 1..n, as in
-    :func:`poly_cost`.
+    Means is the design [1], and ``order`` is ignored for it.  An AR fit
+    leaves out the first ``order`` observations of the series, whose lags
+    are clamped, exactly as the DP cost tables do (:func:`ar_cost_exact`);
+    its fitted values there are only for display.  A polynomial is fitted
+    in the within-segment offset 1..n, as in :func:`poly_cost`.
     """
     T = len(x)
     charged = np.ones(T, dtype=bool)
     segment = np.repeat(np.arange(t.order), np.diff(t.change_points))
-    if cost_model == "ar":
-        design = lag_matrix(x.values, order)
-        charged[:order] = False
+    if cost_model in ("means", "ar"):
+        lags = order if cost_model == "ar" else 0
+        design = lag_matrix(x.values, lags)
+        charged[:lags] = False
     elif cost_model == "poly":
         offset = np.arange(1.0, T + 1.0) - np.asarray(t.change_points[:-1])[segment]
         design = np.vander(offset, order + 1, increasing=True)
@@ -325,8 +326,6 @@ def select_order(
     k_max: int = 10,
     epsilon: float = 1e-9,
     max_iter: int = 100,
-    restarts: int = 0,
-    seed: int | None = None,
     min_segment_length: int | None = None,
 ) -> SelectionReport:
     """Choose the number of segments by the significance check of the model.
@@ -384,8 +383,6 @@ def select_order(
                 order=order,
                 epsilon=epsilon,
                 max_iter=max_iter,
-                restarts=restarts,
-                seed=seed,
             )
             cost = trace.final.cost
         collapsed = seg.order < K

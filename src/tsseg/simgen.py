@@ -129,8 +129,9 @@ class BenchTable:
         return "\n".join(lines) + "\n"
 
 
-def _derived_seeds(seed: int, *key: int) -> np.ndarray:
-    return np.random.SeedSequence([seed, *key]).generate_state(2, np.uint64)
+def _derived_seed(seed: int, *key: int) -> int:
+    state = np.random.SeedSequence([seed, *key]).generate_state(1, np.uint64)
+    return int(state[0])
 
 
 def run_benchmark(
@@ -143,7 +144,6 @@ def run_benchmark(
     K: int = 5,
     means: tuple[float, ...] = DEFAULT_MEANS,
     segment_p: float = 0.9,
-    restarts: int = 0,
     epsilon: float = 1e-9,
     clock=time.perf_counter,
 ) -> BenchTable:
@@ -166,17 +166,13 @@ def run_benchmark(
             accs = np.empty(replicates)
             times = np.empty(replicates)
             for r in range(replicates):
-                gen_seed, fit_seed = _derived_seeds(seed, ti, si, r)
                 x, z_true = generate(
                     GenSpec(K=K, p=gen_p, means=means, sigma=float(sigma),
-                            seed=int(gen_seed))
+                            seed=_derived_seed(seed, ti, si, r))
                 )
                 start = clock()
                 if algorithm == "hmm":
-                    _, trace = hmm_segment(
-                        x, K, segment_p,
-                        epsilon=epsilon, restarts=restarts, seed=int(fit_seed),
-                    )
+                    _, trace = hmm_segment(x, K, segment_p, epsilon=epsilon)
                     z_hat = trace.final_states
                 else:
                     matrix = build_cost_matrix(x)

@@ -3,7 +3,13 @@ import json
 import numpy as np
 import pytest
 
-from tsseg import TimeSeries, build_cost_matrix, dp_segment
+from tsseg import (
+    Segmentation,
+    TimeSeries,
+    build_cost_matrix,
+    dp_segment,
+    segmentation_cost,
+)
 from tsseg.cli import main
 
 
@@ -35,6 +41,16 @@ def test_ar_report_cost_is_the_dp_objective(tmp_path):
         results[2].segmentation.change_points
     )
     assert report["result"]["cost"] == pytest.approx(results[2].cost, rel=1e-6)
+
+
+@pytest.mark.parametrize("algo", ["dp", "hmm"])
+def test_means_report_cost_is_the_segmentation_cost(tmp_path, algo):
+    rng = np.random.default_rng(8)
+    values = 1e3 + np.repeat([0.0, 3.0, -1.0], 40) + 0.5 * rng.standard_normal(120)
+    report = segment(tmp_path, values, "--algo", algo, "--K", "3")
+    seg = Segmentation(tuple(report["result"]["change_points"]))
+    expected = segmentation_cost(TimeSeries(values), seg)
+    assert report["result"]["cost"] == pytest.approx(expected, rel=1e-12)
 
 
 def test_select_order_reports_order_one(tmp_path):
@@ -127,7 +143,7 @@ RESULT_KEYS = {"order", "change_points", "change_point_labels", "cost", "segment
 SEGMENT_KEYS = {"index", "start", "end", "length", "mean", "deviation"}
 CONFIG_KEYS = {
     "algorithm", "cost_model", "order", "K", "k_max", "select_order", "p",
-    "alpha", "epsilon", "restarts", "seed", "min_segment_length",
+    "alpha", "epsilon", "min_segment_length",
 }
 
 

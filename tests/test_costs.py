@@ -10,7 +10,7 @@ from tsseg import (
     means_cost_direct,
     poly_cost,
 )
-from tsseg.costs import _solve
+from tsseg.costs import _group_fit, _solve
 
 
 def make_ar1(T, a0=1.0, a1=0.5, x0=0.0):
@@ -269,6 +269,24 @@ class TestSingularWindows:
         # no worse than the fit without the near-duplicate column
         r2 = y - U[:, :2] @ np.linalg.lstsq(U[:, :2], y, rcond=None)[0]
         assert r @ r <= r2 @ r2 * (1.0 + 1e-9)
+
+
+class TestGroupFit:
+    def test_intercept_only_fit_matches_the_solve(self):
+        # the design [1] takes a closed form; it must give what the solve of
+        # the centred normal equations gives, and an empty group (here the
+        # last one) the target's mean
+        rng = np.random.default_rng(4)
+        for n in (1, 5, 40, 300):
+            target = 50.0 + rng.standard_normal(n)
+            groups = rng.integers(0, 5, n)
+            fits = _group_fit(np.ones((n, 1)), target, groups, 6)
+            centre = target.mean()
+            gram = np.bincount(groups, minlength=6)[:, None, None].astype(float)
+            rhs = np.bincount(groups, weights=target - centre, minlength=6)[:, None]
+            assert fits.shape == (6, 1)
+            np.testing.assert_allclose(fits, centre + _solve(gram, rhs), rtol=1e-12)
+            assert fits[5, 0] == pytest.approx(centre, rel=1e-12)
 
 
 class TestCostMatrixContainer:

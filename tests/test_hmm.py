@@ -311,13 +311,25 @@ class TestHmmSegment:
             direct = segmentation_cost(x, rec.segmentation)
             assert rec.cost == pytest.approx(direct, rel=1e-9, abs=1e-9)
 
-    def test_restarts_deterministic_given_seed(self):
-        spec = GenSpec(K=5, p=0.97, sigma=1.5, seed=3)
-        x, _ = generate(spec)
-        a = hmm_segment(x, 5, 0.9, restarts=5, seed=42)
-        b = hmm_segment(x, 5, 0.9, restarts=5, seed=42)
-        assert a[0] == b[0]
-        assert a[1].final.log_likelihood == b[1].final.log_likelihood
+    def test_means_params_are_the_state_sample_means(self):
+        # a means run is the order-0 least-squares model: every record's
+        # first coefficient is the sample mean of each state on its path
+        rng = np.random.default_rng(77)
+        for _ in range(10):
+            spec = GenSpec(K=5, p=0.97, sigma=1.0, seed=int(rng.integers(2**32)))
+            x, _ = generate(spec)
+            if len(x) < 5:
+                continue
+            _, trace = hmm_segment(x, 5, 0.9)
+            for rec in trace.records:
+                z = states_from_segmentation(rec.segmentation).states - 1
+                counts = np.bincount(z, minlength=5)
+                sums = np.bincount(z, weights=x.values, minlength=5)
+                used = counts > 0
+                assert rec.params.shape == (5, 1)
+                np.testing.assert_allclose(
+                    rec.params[used, 0], sums[used] / counts[used], rtol=1e-12
+                )
 
     def test_p_insensitivity(self):
         # typical decoded paths barely move across p in [0.85, 0.95]; rare
@@ -330,7 +342,7 @@ class TestHmmSegment:
             x, _ = generate(GenSpec(K=5, p=0.975, sigma=0.25, seed=seed))
             decoded = {}
             for p in (0.85, 0.90, 0.95):
-                _, trace = hmm_segment(x, 5, p, restarts=10, seed=7)
+                _, trace = hmm_segment(x, 5, p)
                 decoded[p] = trace.final_states.states
             for a, b in combinations((0.85, 0.90, 0.95), 2):
                 agreements.append(float(np.mean(decoded[a] == decoded[b])))
@@ -366,7 +378,7 @@ class TestHmmSegment:
         for t in range(1, 80):
             b[t] = -0.9 * b[t - 1] + 0.1 * rng.standard_normal()
         x = TimeSeries(np.concatenate([a, b]))
-        seg, trace = hmm_segment(x, 2, 0.9, model="ar", order=1, restarts=4, seed=0)
+        seg, trace = hmm_segment(x, 2, 0.9, model="ar", order=1)
         assert seg.order == 2
         assert abs(seg.change_points[1] - 80) <= 3
 

@@ -119,7 +119,7 @@ class TestSelectOrder:
     @pytest.mark.parametrize("algorithm", ["hmm", "dp"])
     def test_finds_three_levels(self, algorithm):
         x = self.make_three_levels()
-        report = select_order(x, algorithm, "means", k_max=6, seed=0)
+        report = select_order(x, algorithm, "means", k_max=6)
         assert report.chosen_order == 3
         by_order = {r.order: r for r in report.records}
         assert by_order[2].significant and by_order[3].significant
