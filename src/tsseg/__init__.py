@@ -38,18 +38,9 @@ from .dp import (
     DpResult,
     brute_force_segment,
     dp_segment,
-    dp_segment_streaming_means,
     min_cost_curve,
 )
-from .hmm import (
-    EmIteration,
-    EmTrace,
-    HmmParams,
-    hmm_segment,
-    joint_neg_log_likelihood,
-    transition_matrix,
-    viterbi,
-)
+from .hmm import EmIteration, EmTrace, hmm_segment
 from .selection import (
     ScheffeResult,
     SelectionRecord,
@@ -93,15 +84,10 @@ __all__ = [
     "build_cost_matrix",
     "DpResult",
     "dp_segment",
-    "dp_segment_streaming_means",
     "brute_force_segment",
     "min_cost_curve",
-    "HmmParams",
     "EmIteration",
     "EmTrace",
-    "transition_matrix",
-    "joint_neg_log_likelihood",
-    "viterbi",
     "hmm_segment",
     "ScheffeResult",
     "WhitenessResult",

@@ -70,7 +70,6 @@ class RunConfig:
     select_order: bool = False
     p: float = 0.9
     alpha: float = 0.05
-    epsilon: float = 1e-9
     min_segment_length: int | None = None
     json_path: str | None = None
     svg_path: str | None = None
@@ -251,7 +250,6 @@ def cmd_segment(cfg: RunConfig) -> int:
             p=cfg.p,
             alpha=cfg.alpha,
             k_max=cfg.k_max,
-            epsilon=cfg.epsilon,
             min_segment_length=cfg.min_segment_length,
         )
         chosen = selection.chosen_order
@@ -265,12 +263,7 @@ def cmd_segment(cfg: RunConfig) -> int:
         if cfg.K is None:
             raise UsageError("--K is required unless --select-order is given")
         seg, trace = hmm_segment(
-            x,
-            cfg.K,
-            cfg.p,
-            model=cfg.cost_model,
-            order=cfg.order,
-            epsilon=cfg.epsilon,
+            x, cfg.K, cfg.p, model=cfg.cost_model, order=cfg.order
         )
     else:
         if cfg.K is None:
@@ -301,7 +294,6 @@ def cmd_segment(cfg: RunConfig) -> int:
             "select_order": cfg.select_order,
             "p": cfg.p,
             "alpha": cfg.alpha,
-            "epsilon": cfg.epsilon,
             "min_segment_length": cfg.min_segment_length,
         },
         "result": {
@@ -410,8 +402,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="self-transition probability (default 0.9)")
     seg.add_argument("--alpha", type=float, default=0.05,
                      help="significance level (default 0.05)")
-    seg.add_argument("--epsilon", type=float, default=1e-9,
-                     help="log-likelihood convergence tolerance")
     seg.add_argument("--min-seg-len", type=int, default=None,
                      dest="min_seg_len", help="minimum segment length")
     seg.add_argument("--json", default=None, metavar="PATH",
@@ -456,7 +446,6 @@ def main(argv: list[str] | None = None) -> int:
                 select_order=args.select_order,
                 p=args.p,
                 alpha=args.alpha,
-                epsilon=args.epsilon,
                 min_segment_length=args.min_seg_len,
                 json_path=args.json,
                 svg_path=args.svg,

@@ -34,7 +34,6 @@ __all__ = [
     "CostMatrix",
     "SingularWindowError",
     "means_cost_direct",
-    "means_cost_column",
     "ar_cost_exact",
     "poly_cost",
     "build_cost_matrix",
@@ -323,12 +322,6 @@ class _ColumnKernel:
         cost[:lo] = 0.0
         np.maximum(cost, 0.0, out=cost)
         return cost[::-1], lo
-
-
-def means_cost_column(values: np.ndarray, t: int) -> np.ndarray:
-    """One column d[s, t], s = 1..t, of the means cost table."""
-    values = np.asarray(values, dtype=np.float64)
-    return _ColumnKernel(values, "means", 0).column(t)[0]
 
 
 def build_cost_matrix(

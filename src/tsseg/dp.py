@@ -9,9 +9,7 @@ of cutting the prefix [1..t] into exactly k segments,
 
 and the minimizing s values are kept for backtracking.  The minimization
 phase is O(K T^2); the fill is vectorized over k, so each t takes one
-2-D argmin over all orders at once.  For the means model the cost columns
-can also be produced on the fly by the table's own column kernel, so the
-table never has to be materialized.
+2-D argmin over all orders at once.
 """
 
 from __future__ import annotations
@@ -22,13 +20,12 @@ from typing import Callable
 
 import numpy as np
 
-from .core import Segmentation, TimeSeries
-from .costs import CostMatrix, _ColumnKernel
+from .core import Segmentation
+from .costs import CostMatrix
 
 __all__ = [
     "DpResult",
     "dp_segment",
-    "dp_segment_streaming_means",
     "brute_force_segment",
     "min_cost_curve",
 ]
@@ -112,28 +109,6 @@ def dp_segment(
             DpResult(k, _backtrack(pback, k, T), float(pc[k, T]), used_flagged=True)
         )
     return results
-
-
-def dp_segment_streaming_means(
-    x: TimeSeries, k_max: int, min_segment_length: int = 1
-) -> list[DpResult]:
-    """Means-model dynamic program with O(T) memory for costs.
-
-    Each cost column is produced on the fly by the kernel the dense builder
-    uses, so results match :func:`dp_segment` over a means table from
-    :func:`build_cost_matrix` bit-for-bit.
-    """
-    T = len(x)
-    if not 1 <= k_max <= T:
-        raise ValueError(f"k_max must be in [1, {T}], got {k_max}")
-    kernel = _ColumnKernel(x.values, "means", 0)
-    c, back = _run_dp(
-        lambda t: kernel.column(t)[0], T, k_max, max(1, min_segment_length)
-    )
-    return [
-        DpResult(k, _backtrack(back, k, T), float(c[k, T]))
-        for k in range(1, k_max + 1)
-    ]
 
 
 def brute_force_segment(

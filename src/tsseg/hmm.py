@@ -10,11 +10,16 @@ normalized densities.
 
 Segmentation alternates two exact steps until the likelihood settles:
 re-estimate per-state parameters from the current segmentation, then
-re-decode the state path with the Viterbi algorithm.  Each iteration can
-only improve the joint likelihood while the path keeps all K states, which
-is what makes the loop a hard-assignment variant of EM.  The loop starts
-from a greedy binary segmentation of the series on the means cost, so
-that each initial state already covers one level of the data.
+re-decode the state path with the Viterbi algorithm.  The refit is exact
+for every state the path uses (an empty state carries no rows) and the
+decode is exact over all paths, so no iteration lowers the joint
+likelihood, which is what makes the loop a hard-assignment variant of EM.
+As there are finitely many paths, stopping at the first iteration that
+does not raise the likelihood needs no tolerance.  A path is held as its
+K+1 state boundaries 0 = b_0 <= b_1 <= ... <= b_K = T, state k covering
+[b_k, b_{k+1}).  The loop starts from a greedy binary segmentation of the
+series on the means cost, so that each initial state already covers one
+level of the data.
 
 Viterbi decoding runs state by state rather than time step by time step.
 Because the chain only stays or moves up by one, the best score of state
@@ -36,102 +41,23 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (
-    SIGMA_FLOOR,
-    Segmentation,
-    StateSequence,
-    TimeSeries,
-    _freeze,
-    global_sigma,
-    segmentation_from_states,
-)
+from .core import SIGMA_FLOOR, Segmentation, StateSequence, TimeSeries, global_sigma
 from .costs import _group_fit, lag_matrix
 
-__all__ = [
-    "HmmParams",
-    "EmIteration",
-    "EmTrace",
-    "transition_matrix",
-    "joint_neg_log_likelihood",
-    "viterbi",
-    "hmm_segment",
-]
+__all__ = ["EmIteration", "EmTrace", "hmm_segment"]
 
-
-@dataclass(frozen=True)
-class HmmParams:
-    """Parameters (K, p, per-state means, shared sigma)."""
-
-    K: int
-    p: float
-    means: np.ndarray
-    sigma: float
-
-    def __post_init__(self) -> None:
-        if self.K < 1:
-            raise ValueError("K must be >= 1")
-        if not 0.0 < self.p < 1.0:
-            raise ValueError("p must lie strictly between 0 and 1")
-        means = np.asarray(self.means, dtype=np.float64).reshape(-1)
-        if means.size != self.K:
-            raise ValueError("means must have length K")
-        object.__setattr__(self, "means", _freeze(means))
-        if not self.sigma > 0.0:
-            raise ValueError("sigma must be positive")
-
-
-def transition_matrix(K: int, p: float) -> np.ndarray:
-    """K x K matrix with p on the diagonal, 1-p above it, absorbing last row."""
-    if K < 1:
-        raise ValueError("K must be >= 1")
-    if not 0.0 < p < 1.0:
-        raise ValueError("p must lie strictly between 0 and 1")
-    P = np.zeros((K, K))
-    for k in range(K - 1):
-        P[k, k] = p
-        P[k, k + 1] = 1.0 - p
-    P[K - 1, K - 1] = 1.0
-    return P
-
-
-def _transition_neg_log_likelihood(states: np.ndarray, K: int, p: float) -> float:
-    # Path starts from the implicit state 1 before the first observation.
-    path = np.concatenate([[1], states])
-    steps = path[1:] - path[:-1]
-    if np.any((steps < 0) | (steps > 1)) or path.max() > K:
-        return math.inf
-    transitions = int(np.count_nonzero(steps))
-    # Self-transitions out of the absorbing last state cost nothing.
-    stays = int(np.count_nonzero((steps == 0) & (path[:-1] < K)))
-    return -(stays * math.log(p) + transitions * math.log(1.0 - p))
-
-
-def joint_neg_log_likelihood(
-    z: StateSequence, x: TimeSeries, params: HmmParams
-) -> float:
-    """Negative log of the joint likelihood of a state path and the series.
-
-    Sums -log P over the actual transitions of the path (starting from
-    state 1) plus the squared deviations (x_t - mean[z_t])^2 / (2 sigma^2).
-    Returns +inf if the path uses a forbidden transition.
-    """
-    if len(z) != len(x):
-        raise ValueError("state sequence and series must have the same length")
-    states = z.states
-    if states.max() > params.K:
-        raise ValueError("state sequence uses states beyond K")
-    trans = _transition_neg_log_likelihood(states, params.K, params.p)
-    if math.isinf(trans):
-        return math.inf
-    dev = x.values - params.means[states - 1]
-    return trans + float(dev @ dev) / (2.0 * params.sigma**2)
+#: Cap on decode iterations.  The likelihood never falls and only finitely
+#: many paths exist, so the loop always stops by itself; the paper grid
+#: needs at most 6 iterations.
+_MAX_ITER = 100
 
 
 def _decode(log_emissions: np.ndarray, p: float) -> tuple[np.ndarray, float]:
     """Viterbi in the log domain for the bidiagonal left-to-right chain.
 
-    ``log_emissions`` is (T, K).  Returns (0-based states, max joint
-    log-likelihood).
+    ``log_emissions`` is (T, K).  Returns (state boundaries, max joint
+    log-likelihood): 0-based state k covers [bounds[k], bounds[k+1]), and
+    the states after the last one the path reaches are empty at T.
 
     The recursion runs state by state.  With a_k = log p (a_K = 0, the
     last state being absorbing), e_k(t) the log emission, and the chain in
@@ -185,23 +111,11 @@ def _decode(log_emissions: np.ndarray, p: float) -> tuple[np.ndarray, float]:
     enters[1:] = before[:-1] + log_next >= before[1:] + log_stay[1:]
     entry = np.maximum.accumulate(np.where(enters, np.arange(T), -1), axis=1)
     last = int(np.argmax(q[:, T - 1]))
-    loglik = float(q[last, T - 1])
-    states = np.empty(T, dtype=np.int64)
-    t = T - 1
+    bounds = np.full(K + 1, T, dtype=np.int64)
+    bounds[0] = 0
     for k in range(last, 0, -1):
-        tau = int(entry[k, t])
-        states[tau : t + 1] = k
-        t = tau - 1
-    states[: t + 1] = 0
-    return states, loglik
-
-
-def viterbi(x: TimeSeries, params: HmmParams) -> tuple[StateSequence, float]:
-    """Most likely state path and its joint log-likelihood."""
-    dev = x.values[:, None] - params.means[None, :]
-    log_em = -(dev * dev) / (2.0 * params.sigma**2)
-    states, loglik = _decode(log_em, params.p)
-    return StateSequence(states + 1), loglik
+        bounds[k] = entry[k, bounds[k + 1] - 1]
+    return bounds, float(q[last, T - 1])
 
 
 @dataclass(frozen=True)
@@ -236,7 +150,8 @@ class EmTrace:
 
 
 def _binary_split_states(values: np.ndarray, K: int) -> np.ndarray:
-    """Greedy binary segmentation of ``values`` into K blocks on the means cost.
+    """Greedy binary segmentation of ``values`` into K blocks on the means
+    cost, as the K+1 state boundaries (0, cuts..., T).
 
     Starting from one block, each step cuts the block whose best single cut
     removes the most squared deviation, at that cut.  A cut at c of a block
@@ -263,8 +178,7 @@ def _binary_split_states(values: np.ndarray, K: int) -> np.ndarray:
         i = max(range(len(blocks)), key=lambda j: (blocks[j][2], -j))
         a, b, _, c = blocks[i]
         blocks[i : i + 1] = [(a, c, *best_cut(a, c)), (c, b, *best_cut(c, b))]
-    lengths = [b - a for a, b, _, _ in blocks]
-    return np.repeat(np.arange(1, K + 1), lengths)
+    return np.array([a for a, _, _, _ in blocks] + [T], dtype=np.int64)
 
 
 class _LsqModel:
@@ -286,13 +200,16 @@ class _LsqModel:
         self.design = self.U[order:]
         self.target = self.values[order:]
 
-    def refit(self, states: np.ndarray, prev: np.ndarray | None) -> np.ndarray:
-        """Coefficients refit to ``states``.  A state without rows keeps its
+    def _rows(self, bounds: np.ndarray) -> np.ndarray:
+        """State of each charged row of the path with these boundaries."""
+        return np.repeat(np.arange(self.K), np.diff(bounds))[self.order :]
+
+    def refit(self, bounds: np.ndarray, prev: np.ndarray | None) -> np.ndarray:
+        """Coefficients refit to the path.  A state without rows keeps its
         ``prev`` row; on the first fit it gets the mean of the series."""
-        rows = states[self.order :] - 1
-        coefs = _group_fit(self.design, self.target, rows, self.K)
+        coefs = _group_fit(self.design, self.target, self._rows(bounds), self.K)
         if prev is not None:
-            unused = np.bincount(rows, minlength=self.K) == 0
+            unused = np.diff(np.maximum(bounds, self.order)) == 0
             coefs[unused] = prev[unused]
         return coefs
 
@@ -303,28 +220,30 @@ class _LsqModel:
         err /= -2.0 * sigma**2
         return err
 
-    def cost(self, states: np.ndarray, params: np.ndarray) -> float:
-        rows = states[self.order :] - 1
+    def cost(self, bounds: np.ndarray, params: np.ndarray) -> float:
+        rows = self._rows(bounds)
         err = self.target - np.einsum("ij,ij->i", self.design, params[rows])
         return float(err @ err)
 
 
 def _run_em(
-    model,
-    K: int,
-    p: float,
-    sigma: float,
-    z0: np.ndarray,
-    epsilon: float,
-    max_iter: int,
+    model, K: int, p: float, sigma: float, bounds: np.ndarray
 ) -> EmTrace:
-    def record(i: int, states: np.ndarray, params: np.ndarray) -> EmIteration:
-        cost = model.cost(states, params)
+    T = int(bounds[-1])
+    log_stay, log_move = math.log(p), math.log(1.0 - p)
+
+    def record(i: int, bounds: np.ndarray, params: np.ndarray) -> EmIteration:
+        cost = model.cost(bounds, params)
+        # The path moves once into each state up to the last one it uses
+        # and pays a stay for every other step, except in the absorbing
+        # state K, where stays are free.
+        sizes = np.diff(bounds)
+        moves = int(np.flatnonzero(sizes)[-1])
+        stays = T - moves - (int(sizes[-1]) - 1 if moves == K - 1 else 0)
         loglik = -(
-            _transition_neg_log_likelihood(states, K, p)
-            + cost / (2.0 * sigma**2)
+            -(stays * log_stay + moves * log_move) + cost / (2.0 * sigma**2)
         )
-        segmentation = segmentation_from_states(StateSequence(states))
+        segmentation = Segmentation(tuple(np.unique(bounds)))
         return EmIteration(
             iteration=i,
             params=params,
@@ -334,22 +253,21 @@ def _run_em(
             states_used=segmentation.order,
         )
 
-    states = z0
-    params = model.refit(states, None)
-    records = [record(0, states, params)]
+    params = model.refit(bounds, None)
+    records = [record(0, bounds, params)]
     converged = False
-    for i in range(1, max_iter + 1):
-        new_states, _ = _decode(model.log_emissions(params, sigma), p)
-        new_states += 1
-        params = model.refit(new_states, params)
-        records.append(record(i, new_states, params))
-        states = new_states
-        if abs(records[-1].log_likelihood - records[-2].log_likelihood) < epsilon:
+    for i in range(1, _MAX_ITER + 1):
+        bounds, _ = _decode(model.log_emissions(params, sigma), p)
+        params = model.refit(bounds, params)
+        records.append(record(i, bounds, params))
+        if records[-1].log_likelihood <= records[-2].log_likelihood:
             converged = True
             break
     return EmTrace(
         records=tuple(records),
-        final_states=StateSequence(states),
+        final_states=StateSequence(
+            np.repeat(np.arange(1, K + 1), np.diff(bounds))
+        ),
         sigma=sigma,
         converged=converged,
         in_phi_k=all(r.states_used == K for r in records),
@@ -364,9 +282,6 @@ def hmm_segment(
     *,
     model: str = "means",
     order: int = 1,
-    epsilon: float = 1e-9,
-    max_iter: int = 100,
-    sigma_min: float = SIGMA_FLOOR,
 ) -> tuple[Segmentation, EmTrace]:
     """Segment ``x`` into (at most) K blocks by iterated re-estimation and
     Viterbi decoding.
@@ -377,8 +292,13 @@ def hmm_segment(
     length and leaves hard EM at a poor local optimum, where this start
     puts each state on one level of the data.
 
-    The shared sigma is estimated once from the whole series and held
-    fixed.  ``model`` selects the segment family: "means" (default), the
+    The shared sigma is estimated once from the whole series, floored at
+    ``SIGMA_FLOOR`` so that a noiseless series still has finite emissions,
+    and held fixed.  The loop stops at the first iteration whose joint
+    log-likelihood is not above the previous one; since no iteration
+    lowers it and the paths are finite, that stop is exact, and
+    ``converged`` is False only if ``_MAX_ITER`` iterations all improved.
+    ``model`` selects the segment family: "means" (default), the
     order-0 case of the least-squares state model, or "ar" with the given
     ``order``.
     """
@@ -393,8 +313,7 @@ def hmm_segment(
         order = 0
     elif model != "ar":
         raise ValueError(f"unsupported model {model!r} (use 'means' or 'ar')")
-    sigma = max(global_sigma(x), sigma_min)
+    sigma = max(global_sigma(x), SIGMA_FLOOR)
     fitter = _LsqModel(x, K, order)
-    z0 = _binary_split_states(x.values, K)
-    trace = _run_em(fitter, K, p, sigma, z0, epsilon, max_iter)
+    trace = _run_em(fitter, K, p, sigma, _binary_split_states(x.values, K))
     return trace.final.segmentation, trace

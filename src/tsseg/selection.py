@@ -324,8 +324,6 @@ def select_order(
     p: float = 0.9,
     alpha: float = 0.05,
     k_max: int = 10,
-    epsilon: float = 1e-9,
-    max_iter: int = 100,
     min_segment_length: int | None = None,
 ) -> SelectionReport:
     """Choose the number of segments by the significance check of the model.
@@ -375,15 +373,7 @@ def select_order(
             residuals = _segment_residuals(x, seg, cost_model, order)
             cost = float(residuals @ residuals)
         else:
-            seg, trace = hmm_segment(
-                x,
-                K,
-                p,
-                model=cost_model,
-                order=order,
-                epsilon=epsilon,
-                max_iter=max_iter,
-            )
+            seg, trace = hmm_segment(x, K, p, model=cost_model, order=order)
             cost = trace.final.cost
         collapsed = seg.order < K
         if contrast:

@@ -144,7 +144,6 @@ def run_benchmark(
     K: int = 5,
     means: tuple[float, ...] = DEFAULT_MEANS,
     segment_p: float = 0.9,
-    epsilon: float = 1e-9,
     clock=time.perf_counter,
 ) -> BenchTable:
     """Accuracy and runtime over a (target length x sigma) grid.
@@ -172,7 +171,7 @@ def run_benchmark(
                 )
                 start = clock()
                 if algorithm == "hmm":
-                    _, trace = hmm_segment(x, K, segment_p, epsilon=epsilon)
+                    _, trace = hmm_segment(x, K, segment_p)
                     z_hat = trace.final_states
                 else:
                     matrix = build_cost_matrix(x)

@@ -90,6 +90,8 @@ def test_exit_0_on_success(tmp_path, capsys):
         (["--K", "2", "--algo", "hmm", "--cost", "poly(1)"], "only available with --algo dp"),
         (["--algo", "dp"], "--K is required"),
         (["--algo", "hmm"], "--K is required"),
+        # hard EM stops exactly, so there is no convergence tolerance to set
+        (["--K", "2", "--epsilon", "1e-6"], "unrecognized arguments: --epsilon"),
     ],
 )
 def test_exit_1_on_usage_errors(tmp_path, capsys, args, message):
@@ -143,7 +145,7 @@ RESULT_KEYS = {"order", "change_points", "change_point_labels", "cost", "segment
 SEGMENT_KEYS = {"index", "start", "end", "length", "mean", "deviation"}
 CONFIG_KEYS = {
     "algorithm", "cost_model", "order", "K", "k_max", "select_order", "p",
-    "alpha", "epsilon", "min_segment_length",
+    "alpha", "min_segment_length",
 }
 
 

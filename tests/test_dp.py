@@ -7,10 +7,8 @@ from tsseg import (
     brute_force_segment,
     build_cost_matrix,
     dp_segment,
-    dp_segment_streaming_means,
     min_cost_curve,
 )
-from tsseg.costs import means_cost_column
 from tsseg.dp import _run_dp
 
 
@@ -81,16 +79,6 @@ def test_refinement_monotonicity_at_the_optimum():
         x = TimeSeries(rng.standard_normal(T))
         curve = min_cost_curve(build_cost_matrix(x), min(T, 6))
         assert np.all(np.diff(curve) <= 1e-12)
-
-
-def test_streaming_matches_dense_bit_for_bit():
-    rng = np.random.default_rng(7)
-    x = TimeSeries(rng.standard_normal(80) * 2.5)
-    dense = dp_segment(build_cost_matrix(x), 6)
-    streaming = dp_segment_streaming_means(x, 6)
-    for a, b in zip(dense, streaming):
-        assert a.cost == b.cost
-        assert a.segmentation == b.segmentation
 
 
 def test_tie_break_prefers_earliest_change_point():
@@ -187,16 +175,6 @@ def test_fill_is_bit_identical_to_per_order_reference(model):
             ref_c, ref_back = per_order_dp(*args)
             assert np.array_equal(c, ref_c)
             assert np.array_equal(back, ref_back)
-
-
-def test_streaming_fill_is_bit_identical_to_per_order_reference():
-    rng = np.random.default_rng(5)
-    values = rng.standard_normal(60)
-    args = (lambda t: means_cost_column(values, t), 60, 7, 2)
-    c, back = _run_dp(*args)
-    ref_c, ref_back = per_order_dp(*args)
-    assert np.array_equal(c, ref_c)
-    assert np.array_equal(back, ref_back)
 
 
 def test_permissive_pass_supplies_infeasible_orders():

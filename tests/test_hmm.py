@@ -1,24 +1,101 @@
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
 from tsseg import (
     GenSpec,
-    HmmParams,
     Segmentation,
     StateSequence,
     TimeSeries,
     generate,
     hmm_segment,
-    joint_neg_log_likelihood,
     segmentation_cost,
     states_from_segmentation,
-    transition_matrix,
-    viterbi,
 )
 from tsseg.costs import ar_cost_exact
 from tsseg.hmm import _decode
+
+
+# ---------------------------------------------------------------------------
+# oracles: the means HMM written out term by term
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class HmmParams:
+    """Parameters (K, p, per-state means, shared sigma)."""
+
+    K: int
+    p: float
+    means: np.ndarray
+    sigma: float
+
+    def __post_init__(self) -> None:
+        if self.K < 1:
+            raise ValueError("K must be >= 1")
+        if not 0.0 < self.p < 1.0:
+            raise ValueError("p must lie strictly between 0 and 1")
+        means = np.asarray(self.means, dtype=np.float64).reshape(-1)
+        if means.size != self.K:
+            raise ValueError("means must have length K")
+        object.__setattr__(self, "means", means)
+        if not self.sigma > 0.0:
+            raise ValueError("sigma must be positive")
+
+
+def transition_matrix(K, p):
+    """K x K matrix with p on the diagonal, 1-p above it, absorbing last row."""
+    if K < 1:
+        raise ValueError("K must be >= 1")
+    if not 0.0 < p < 1.0:
+        raise ValueError("p must lie strictly between 0 and 1")
+    P = np.zeros((K, K))
+    for k in range(K - 1):
+        P[k, k] = p
+        P[k, k + 1] = 1.0 - p
+    P[K - 1, K - 1] = 1.0
+    return P
+
+
+def transition_neg_log_likelihood(states, K, p):
+    # Path starts from the implicit state 1 before the first observation.
+    path = np.concatenate([[1], states])
+    steps = path[1:] - path[:-1]
+    if np.any((steps < 0) | (steps > 1)) or path.max() > K:
+        return math.inf
+    transitions = int(np.count_nonzero(steps))
+    # Self-transitions out of the absorbing last state cost nothing.
+    stays = int(np.count_nonzero((steps == 0) & (path[:-1] < K)))
+    return -(stays * math.log(p) + transitions * math.log(1.0 - p))
+
+
+def joint_neg_log_likelihood(z, x, params):
+    """Negative log of the joint likelihood of a state path and the series:
+    -log P over the path's transitions (starting from state 1) plus
+    (x_t - mean[z_t])^2 / (2 sigma^2); +inf for a forbidden transition."""
+    if len(z) != len(x):
+        raise ValueError("state sequence and series must have the same length")
+    states = z.states
+    if states.max() > params.K:
+        raise ValueError("state sequence uses states beyond K")
+    trans = transition_neg_log_likelihood(states, params.K, params.p)
+    if math.isinf(trans):
+        return math.inf
+    dev = x.values - params.means[states - 1]
+    return trans + float(dev @ dev) / (2.0 * params.sigma**2)
+
+
+def bounds_to_states(bounds):
+    """0-based state of every time step of the path with these boundaries."""
+    return np.repeat(np.arange(len(bounds) - 1), np.diff(bounds))
+
+
+def viterbi(x, params):
+    """Most likely state path (1-based) and its joint log-likelihood."""
+    dev = x.values[:, None] - params.means[None, :]
+    bounds, loglik = _decode(-(dev * dev) / (2.0 * params.sigma**2), params.p)
+    return StateSequence(bounds_to_states(bounds) + 1), loglik
 
 
 def enumerate_paths(T, K):
@@ -227,7 +304,8 @@ class TestStateMajorDecode:
             if case % 4 == 0:
                 # coarse emissions make exact ties between paths common
                 log_em = np.round(log_em)
-            states, loglik = _decode(log_em, p)
+            bounds, loglik = _decode(log_em, p)
+            states = bounds_to_states(bounds)
             ref_states, ref_loglik = time_major_decode(log_em, p)
             assert loglik == pytest.approx(ref_loglik, rel=1e-9, abs=1e-12)
             assert path_log_likelihood(log_em, states, p) == pytest.approx(
@@ -254,7 +332,7 @@ class TestStateMajorDecode:
                 truth = np.sort(rng.integers(0, K, T))
                 wrong = np.arange(K)[None, :] != truth[:, None]
                 log_em[wrong] *= scale
-            states, _ = _decode(log_em, p)
+            states = bounds_to_states(_decode(log_em, p)[0])
             ref_states, _ = time_major_decode(log_em, p)
             ours = path_log_likelihood(log_em, states, p)
             ref = path_log_likelihood(log_em, ref_states, p)
@@ -395,3 +473,50 @@ class TestHmmSegment:
             ar_cost_exact(x, s, t, 1)[0] for s, t in seg.segments()
         )
         assert trace.final.cost == pytest.approx(exact, rel=1e-6)
+
+
+@pytest.fixture(scope="module")
+def em_runs():
+    """Means and ar(1) runs at K = 2..8 on 48 generated series (T about 50,
+    sigma 0 to 2), collapsed runs and paths that start in state 2 included."""
+    runs = []
+    for seed in range(48):
+        sigma = (0.0, 0.5, 1.0, 2.0)[seed % 4]
+        x, _ = generate(GenSpec(K=5, p=0.9, sigma=sigma, seed=seed))
+        for K in range(2, min(8, len(x)) + 1):
+            for model in ("means", "ar"):
+                _, trace = hmm_segment(x, K, 0.9, model=model, order=1)
+                runs.append((x, K, model, trace))
+    assert any(trace.collapsed for *_, model, trace in runs if model == "means")
+    assert any(trace.collapsed for *_, model, trace in runs if model == "ar")
+    return runs
+
+
+class TestExactStop:
+    """Hard EM stops at the first iteration that does not raise the joint
+    log-likelihood; no iteration lowers it, so that stop needs no tolerance."""
+
+    def test_likelihood_never_falls(self, em_runs):
+        for *_, trace in em_runs:
+            lls = [r.log_likelihood for r in trace.records]
+            assert all(b >= a for a, b in zip(lls, lls[1:]))
+
+    def test_converged_trace_rises_strictly_until_its_last_step(self, em_runs):
+        for *_, trace in em_runs:
+            assert trace.converged
+            lls = [r.log_likelihood for r in trace.records]
+            assert len(lls) >= 2
+            assert all(b > a for a, b in zip(lls[:-2], lls[1:-1]))
+            assert lls[-1] == lls[-2]
+
+    def test_final_log_likelihood_is_the_joint_likelihood(self, em_runs):
+        starts_in_state_2 = 0
+        for x, K, model, trace in em_runs:
+            if model != "means":
+                continue
+            final = trace.final
+            params = HmmParams(K, 0.9, final.params[:, 0], trace.sigma)
+            nll = joint_neg_log_likelihood(trace.final_states, x, params)
+            assert nll == pytest.approx(-final.log_likelihood, rel=1e-12)
+            starts_in_state_2 += int(trace.final_states.states[0] == 2)
+        assert starts_in_state_2 > 0
