@@ -33,7 +33,7 @@ from .hmm import EmTrace, hmm_segment
 from .selection import (
     SelectionReport,
     _segment_fits,
-    _segment_residuals,
+    _segment_residuals,  # noqa: F401  bench/probes.py wraps the name here
     select_order,
 )
 from .simgen import run_benchmark
@@ -156,12 +156,15 @@ def _label_for(x: TimeSeries, cp: int) -> int | None:
     return int(x.labels[cp - 1])
 
 
-def _segment_payload(x: TimeSeries, seg: Segmentation, cfg: RunConfig) -> list[dict]:
+def _segment_payload(
+    x: TimeSeries, seg: Segmentation, cfg: RunConfig, fits: np.ndarray
+) -> list[dict]:
+    """One entry per segment; ar and poly entries carry the segment's row
+    of ``fits``, the coefficients from :func:`_segment_fits`."""
     payload = []
     stats = segment_stats(x, seg)
     coefs: list[list[float]] | None = None
     if cfg.cost_model in ("ar", "poly"):
-        _, _, fits = _segment_fits(x, seg, cfg.cost_model, cfg.order)
         coefs = [[float(c) for c in coef] for coef in fits]
     for k, ((start, end), st) in enumerate(zip(seg.segments(), stats), start=1):
         entry = {
@@ -274,7 +277,8 @@ def cmd_segment(cfg: RunConfig) -> int:
         ].segmentation
     elapsed_ms = 1000.0 * (time.perf_counter() - started)
 
-    residuals = _segment_residuals(x, seg, cfg.cost_model, cfg.order)
+    fitted, charged, fits = _segment_fits(x, seg, cfg.cost_model, cfg.order)
+    residuals = (x.values - fitted)[charged]
     cost = float(residuals @ residuals)
 
     report = {
@@ -305,7 +309,7 @@ def cmd_segment(cfg: RunConfig) -> int:
                 else None
             ),
             "cost": cost,
-            "segments": _segment_payload(x, seg, cfg),
+            "segments": _segment_payload(x, seg, cfg, fits),
         },
     }
     if trace is not None:
@@ -323,7 +327,6 @@ def cmd_segment(cfg: RunConfig) -> int:
         sys.stdout.write(text)
 
     if cfg.svg_path:
-        fitted, _, _ = _segment_fits(x, seg, cfg.cost_model, cfg.order)
         with open(cfg.svg_path, "w", encoding="utf-8") as fh:
             fh.write(
                 segmentation_svg(

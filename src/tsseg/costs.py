@@ -13,13 +13,19 @@ All three are the least-squares residual of x_u on a design row over the
 charged rows u of the window: [1] for means, [1, x_{u-1}, ..., x_{u-L}] for
 ar (the first L rows, whose lags are clamped, are not charged), and
 [1, (t-u), ..., (t-u)^L] for poly, which spans the same polynomials as the
-within-segment offset.  One column kernel gives every window ending at t:
-sums of u u', u x and x^2 accumulated from t backwards (a short window is
-never the difference of two long ones), then one batched solve of the
-Jacobi-scaled normal equations, with no ridge; O(T^2 d^2) for d regressors.
-:func:`build_cost_matrix` is the only table builder, and the segmenters'
-per-segment fits use the same solve.  Each model also has a direct
-evaluator (the slow, obviously-correct form) the tables are checked against.
+within-segment offset.  :func:`build_cost_matrix` builds every table: it
+fills a block of consecutive window ends at a time, indexing each window
+[t-i, t] by its end t and its age i.  The sums of u u', u x and x^2
+over a window are one cumsum along the rows t, t-1, ... of the block's
+ends (a short window is never the difference of two long ones), taken on a
+sliding view of the reversed, zero-padded rows.  Means then takes its
+closed form; ar and poly solve the Jacobi-scaled normal equations, with no
+ridge, by one broadcasting Cholesky solve over the whole block (poly's Gram
+matrix depends only on the window length, so it is factored once per
+length and serves every end).  That is O(T^2 d^2) work for d regressors.
+The segmenters' per-segment fits use the same solve.  Each model also has a
+direct evaluator (the slow, obviously-correct form) the tables are checked
+against.
 """
 
 from __future__ import annotations
@@ -27,6 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
 from .core import TimeSeries, _freeze
 
@@ -43,6 +50,11 @@ __all__ = [
 #: would swamp the residual), and the pseudo-inverse's cutoff relative to
 #: the largest eigenvalue.
 _RCOND = 1e-8
+
+#: Size of a block of the table fill, in windows (window ends times ages)
+#: times regressors: large enough that every numpy operation covers many
+#: windows, small enough that the solve's working arrays stay in cache.
+_CELLS = 1 << 16
 
 
 class SingularWindowError(Exception):
@@ -157,8 +169,10 @@ def lag_matrix(values: np.ndarray, order: int) -> np.ndarray:
 def ar_cost_exact(
     x: TimeSeries, s: int, t: int, order: int
 ) -> tuple[float, np.ndarray]:
-    """Least-squares autoregression on the window [s, t], via the normal
-    equations; returns (squared prediction error, coefficients).
+    """Least-squares autoregression on the window [s, t], by ``lstsq`` on
+    the window's design rows; returns (squared prediction error,
+    coefficients).  Windows whose Gram matrix has a condition number over
+    1e12 are refused as singular.
 
     Coefficients are ordered [intercept, lag 1, ..., lag ``order``].  The
     first ``order`` observations of the series have no real lags, so
@@ -179,7 +193,7 @@ def ar_cost_exact(
     if not np.all(np.isfinite(gram)) or np.linalg.cond(gram) > 1e12:
         raise SingularWindowError(s, t)
     try:
-        coef = np.linalg.solve(gram, U.T @ w)
+        coef = np.linalg.lstsq(U, w, rcond=None)[0]
     except np.linalg.LinAlgError as exc:
         raise SingularWindowError(s, t, str(exc)) from exc
     r = w - U @ coef
@@ -220,27 +234,57 @@ def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def _solve(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Least-squares coefficients from stacked normal equations gram c = rhs.
 
-    Each system is scaled to a unit diagonal (Jacobi) and solved in one
-    batched ``np.linalg.solve``.  A system the solve cannot be trusted on,
-    because it is singular or its scaled coefficients lie along a direction
-    the Gram matrix barely spans (a Rayleigh quotient under ``_RCOND``), is
-    solved by a pseudo-inverse instead: the minimum-norm fit over the
-    directions the Gram matrix resolves, which for an exactly singular
-    system still reaches the least-squares minimum.
+    The batch shapes of ``gram`` (..., d, d) and ``rhs`` (..., d) broadcast
+    against each other, so one Gram matrix can serve many right-hand sides
+    and is factored once for all of them.  Each system is scaled to a unit
+    diagonal (Jacobi) and solved by a Cholesky factorisation written entry
+    by entry over the whole batch: the Python loops run over d, never over
+    systems.  A system the solve cannot be trusted on, because a pivot is
+    not positive (the Gram matrix is singular, or rounding made it
+    indefinite) or its scaled coefficients lie along a direction the Gram
+    matrix barely spans (a Rayleigh quotient under ``_RCOND``), is solved
+    by a pseudo-inverse instead: the minimum-norm fit over the directions
+    the Gram matrix resolves, which for an exactly singular system still
+    reaches the least-squares minimum.
     """
-    diag = np.diagonal(gram, axis1=-2, axis2=-1)
-    scale = np.sqrt(np.where(diag > 0.0, diag, 1.0))
-    g = gram / (scale[..., :, None] * scale[..., None, :])
-    r = rhs / scale
-    try:
-        c = np.linalg.solve(g, r[..., None])[..., 0]
-        bad = ~(_RCOND * _dot(c, c) <= _dot(c, r))  # also catches NaN
-    except np.linalg.LinAlgError:
-        c = np.empty_like(r)
-        bad = np.ones(r.shape[:-1], dtype=bool)
+    d = rhs.shape[-1]
+    # every entry is its own array, so that each operation runs over
+    # contiguous memory whatever the layout of gram and rhs
+    diag = [gram[..., i, i] for i in range(d)]
+    scale = [np.sqrt(np.where(g > 0.0, g, 1.0)) for g in diag]
+    r = [rhs[..., i] / scale[i] for i in range(d)]
+    # g = L L' with g the scaled Gram matrix; a pivot that is not positive
+    # becomes NaN, which reaches every coefficient of its system
+    L = [[None] * d for _ in range(d)]
+    for j in range(d):
+        for i in range(j, d):
+            a = gram[..., i, j] / (scale[i] * scale[j])
+            for k in range(j):
+                a = a - L[i][k] * L[j][k]
+            L[i][j] = np.sqrt(np.where(a > 0.0, a, np.nan)) if i == j else a / L[j][j]
+    y = []
+    for i in range(d):
+        a = r[i]
+        for k in range(i):
+            a = a - L[i][k] * y[k]
+        y.append(a / L[i][i])
+    c = [None] * d
+    for i in reversed(range(d)):
+        a = y[i]
+        for k in range(i + 1, d):
+            a = a - L[k][i] * c[k]
+        c[i] = a / L[i][i]
+    cc = sum(ci * ci for ci in c)
+    cr = sum(ci * ri for ci, ri in zip(c, r))
+    bad = ~((_RCOND * cc <= cr) & (cc < np.inf))  # also catches NaN
+    scale = np.stack(scale, axis=-1)
+    c = np.stack(c, axis=-1)
     if bad.any():
-        pinv = np.linalg.pinv(g[bad], rcond=_RCOND, hermitian=True)
-        c[bad] = (pinv @ r[bad][..., None])[..., 0]
+        s = np.broadcast_to(scale, c.shape)[bad]
+        g = np.broadcast_to(gram, c.shape + (d,))[bad] / (s[:, :, None] * s[:, None, :])
+        r = np.broadcast_to(rhs, c.shape)[bad] / s
+        pinv = np.linalg.pinv(g, rcond=_RCOND, hermitian=True)
+        c[bad] = (pinv @ r[..., None])[..., 0]
     return c / scale
 
 
@@ -273,61 +317,56 @@ def _group_fit(
     return coefs
 
 
-class _ColumnKernel:
-    """Costs of every window [s, t] ending at a given t, for one series.
+def _reversed_padded(rows: np.ndarray) -> np.ndarray:
+    """A series of rows, time along the last axis, reversed in time and
+    followed by as many zero rows."""
+    return np.concatenate([rows[..., ::-1], np.zeros_like(rows)], axis=-1)
 
-    Centring x (the intercept absorbs it), the design rows, their outer
-    products and the charged-row weights are worked out once per series.
-    ar rows are indexed by the time u; means and poly rows by the age t - u
-    (means is the degree-0 polynomial).  A column takes suffix sums over the
-    rows u = t, t-1, ..., 1 and one solve for the identified windows; a
-    window with at most d charged rows is stored as 0.
+
+def _by_age(padded: np.ndarray, t0: int, t1: int) -> np.ndarray:
+    """The rows u = t - i of a series, from :func:`_reversed_padded`, for
+    the window ends t = t0..t1 (axis 0) and the ages i = 0..t1-1 (the last
+    axis), as a view.  Ages that reach past the start of the series read 0.
     """
+    T = padded.shape[-1] // 2
+    view = sliding_window_view(padded, t1, axis=-1)[..., T - t1 : T - t0 + 1, :]
+    return np.moveaxis(view, -2, 0)[::-1]
 
-    def __init__(self, values: np.ndarray, model: str, order: int):
-        x = values - values.mean()
-        T = x.size
-        weight = np.ones(T)
-        if model == "ar":
-            design = lag_matrix(x, order)
-            weight[:order] = 0.0
-        else:
-            design = np.vander(np.arange(float(T)), order + 1, increasing=True)
-        self.d = design.shape[1]
-        self.by_age = model != "ar"
-        self.design = design
-        self.outer = design[:, :, None] * design[:, None, :] * weight[:, None, None]
-        self.wx = weight * x
-        self.wxx = self.wx * x
-        self.charged = np.concatenate([[0.0], np.cumsum(weight)])
-        self.lengths = np.arange(1.0, T + 1.0)
 
-    def column(self, t: int) -> tuple[np.ndarray, int]:
-        """Costs d[s, t] for s = 1..t, and the number of under-determined
-        windows, which are the last ones (s near t) and are stored as 0."""
-        # Sums run over the rows u = t, t-1, ..., 1: entry i is the window
-        # [t-i, t], and the result is reversed into s order at the end.
-        rows = slice(t - 1, None, -1)
-        wx = self.wx[rows]
-        cost = np.cumsum(self.wxx[rows])
-        lo = t - int(np.searchsorted(self.charged[:t], self.charged[t] - self.d))
-        if self.d == 1:  # the design is [1] and every row is charged
-            b = np.cumsum(wx)
-            cost -= b * b / self.lengths[:t]
-        else:
-            u = slice(None, t) if self.by_age else rows
-            gram = np.cumsum(self.outer[u], axis=0)[lo:]
-            rhs = np.cumsum(self.design[u] * wx[:, None], axis=0)[lo:]
-            cost[lo:] -= _dot(rhs, _solve(gram, rhs))
-        cost[:lo] = 0.0
-        np.maximum(cost, 0.0, out=cost)
-        return cost[::-1], lo
+def _cumsum_by_age(padded: np.ndarray, t0: int, t1: int) -> np.ndarray:
+    """Sums of the rows u = t, t-1, ..., t-i, added in that order, for the
+    window ends t = t0..t1 (axis 0) and the ages i = 0..t1-1 (axis 1).
+
+    Each entry of a row is stored contiguously along the ages, which is
+    the layout the solve reads.
+    """
+    view = _by_age(padded, t0, t1)
+    return np.moveaxis(np.cumsum(view, axis=-1, out=np.empty(view.shape)), -1, 1)
+
+
+def _store_by_start(by_end: np.ndarray, cost: np.ndarray, t0: int) -> None:
+    """Writes a block's costs into the table by window start.
+
+    ``cost[b, i]`` is the window [t-i, t] with t = t0 + b, for the B ends
+    t = t0..t1 and the ages i = 0..t1-1; it goes to ``by_end[t-1, t-1-i]``
+    when i < t.  The block's windows with t < s <= t1 get 0.
+    """
+    B, n = cost.shape
+    # Row b of ``skew`` holds cost[b] reversed, then B zeros: reading it
+    # with a row stride one element short shifts row b left by B-1-b.
+    skew = np.zeros((B, n + B))
+    skew[:, :n] = cost[:, ::-1]
+    step = skew.strides[1]
+    by_end[t0 - 1 : t0 - 1 + B, :n] = as_strided(
+        skew.ravel()[B - 1 :], (B, n), (skew.strides[0] - step, step)
+    )
 
 
 def build_cost_matrix(
     x: TimeSeries, model: str = "means", order: int | None = None
 ) -> CostMatrix:
-    """Cost table of ``model`` in {means, ar, poly}, one kernel column per t.
+    """Cost table of ``model`` in {means, ar, poly}, filled a block of
+    window ends at a time.
 
     ``order`` is the lag count of ar and the degree of poly.  ar and poly
     tables flag their under-determined windows; ar tables also mark the
@@ -342,13 +381,70 @@ def build_cost_matrix(
         raise ValueError(f"cost model {model!r} needs an order")
     elif T <= order + 1:
         raise ValueError(f"series of length {T} too short for order {order}")
-    kernel = _ColumnKernel(x.values, model, order)
+    # Centring x (the intercept absorbs it); ar rows are indexed by the
+    # time u, means and poly rows by the age t - u.
+    xc = x.values - x.values.mean()
+    weight = np.ones(T)
+    if model == "ar":
+        design = lag_matrix(xc, order)
+        weight[:order] = 0.0
+    else:
+        design = np.vander(np.arange(float(T)), order + 1, increasing=True)
+    d = design.shape[1]
+    wx = weight * xc
+    padded_wx = _reversed_padded(wx)
+    padded_wxx = _reversed_padded(wx * xc)
+    if model == "ar":
+        u = design.T
+        padded_outer = _reversed_padded(u[:, None, :] * u[None, :, :] * weight)
+        padded_rhs = _reversed_padded(u * wx)
+    elif d > 1:
+        by_length = np.cumsum(design[:, :, None] * design[:, None, :], axis=0)
+    # A window [t-i, t] is identified when it has more than d charged rows:
+    # when i >= d, at the ends t that have such a window at all.
+    identified = np.cumsum(weight) > d
+    lengths = np.arange(1.0, T + 1.0)
+
     by_end = np.zeros((T, T))
-    flagged = None if model == "means" else np.zeros((T, T), dtype=bool)
-    for t in range(1, T + 1):
-        by_end[t - 1, :t], lo = kernel.column(t)
-        if flagged is not None:
-            flagged[t - 1, t - lo : t] = True
+    rows = max(1, _CELLS // (T * d))
+    for t0 in range(1, T + 1, rows):
+        t1 = min(t0 + rows - 1, T)
+        cost = _cumsum_by_age(padded_wxx, t0, t1)
+        if d == 1:  # the design is [1] and every row is charged
+            b = _cumsum_by_age(padded_wx, t0, t1)
+            b *= b
+            b /= lengths[:t1]
+            cost -= b
+        else:
+            if model == "ar":
+                gram = _cumsum_by_age(padded_outer, t0, t1)[:, d:]
+                rhs = _cumsum_by_age(padded_rhs, t0, t1)[:, d:]
+                # the windows past the series start and the ends without
+                # an identified window get the system I c = 0, which the
+                # solve passes, instead of a singular one
+                skip = np.arange(d, t1) >= np.arange(t0, t1 + 1)[:, None]
+                skip |= ~identified[t0 - 1 : t1, None]
+                np.copyto(rhs, 0.0, where=skip[..., None])
+                np.copyto(gram, np.eye(d), where=skip[..., None, None])
+            else:
+                # one Gram matrix per length, positive definite past
+                # length d, so the windows past the series start solve
+                # without the fallback (and are dropped)
+                gram = by_length[d:t1]
+                xs = _by_age(padded_wx, t0, t1)[:, None, :] * design[:t1].T
+                rhs = np.moveaxis(np.cumsum(xs, axis=-1), -1, 1)[:, d:]
+            cost[:, d:] -= _dot(rhs, _solve(gram, rhs))
+        cost[:, :d] = 0.0
+        cost[~identified[t0 - 1 : t1]] = 0.0
+        np.maximum(cost, 0.0, out=cost)
+        _store_by_start(by_end, cost, t0)
+
+    flagged = None
+    if model != "means":
+        ends = np.arange(1, T + 1)
+        lo = np.where(identified, d, ends)
+        start = np.arange(T)
+        flagged = (start >= (ends - lo)[:, None]) & (start < ends[:, None])
     boundary = None
     if model == "ar":
         boundary = np.tri(T, dtype=bool)

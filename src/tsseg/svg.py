@@ -22,6 +22,15 @@ def _fmt(v: float) -> str:
     return f"{v:.2f}"
 
 
+def _points(xs: np.ndarray, ys: np.ndarray) -> str:
+    """Polyline points "x,y x,y ..." formatted as :func:`_fmt` does, in one
+    format call over the interleaved coordinates."""
+    xy = np.empty(2 * len(xs))
+    xy[0::2] = xs
+    xy[1::2] = ys
+    return " ".join(["%.2f,%.2f"] * len(xs)) % tuple(xy.tolist())
+
+
 def segmentation_svg(
     x: TimeSeries,
     t: Segmentation,
@@ -56,10 +65,10 @@ def segmentation_svg(
     plot_w = width - _MARGIN_L - _MARGIN_R
     plot_h = height - _MARGIN_T - _MARGIN_B
 
-    def sx(i: int) -> float:  # i is a 0-based index
+    def sx(i):  # i is a 0-based index, or an array of them
         return _MARGIN_L + (plot_w * i / max(T - 1, 1))
 
-    def sy(v: float) -> float:
+    def sy(v):
         return _MARGIN_T + plot_h * (hi - v) / (hi - lo)
 
     out = [
@@ -109,15 +118,15 @@ def segmentation_svg(
             f'y2="{height - _MARGIN_B}" stroke="#bbb" stroke-dasharray="4 3"/>'
         )
 
-    pts = " ".join(f"{_fmt(sx(i))},{_fmt(sy(v))}" for i, v in enumerate(values))
+    xs = sx(np.arange(T))
     out.append(
-        f'<polyline points="{pts}" fill="none" stroke="#4878a8" stroke-width="1"/>'
+        f'<polyline points="{_points(xs, sy(values))}" fill="none" '
+        f'stroke="#4878a8" stroke-width="1"/>'
     )
     # fitted values, one polyline per segment so jumps stay vertical-free
+    ys = sy(fitted)
     for start, end in t.segments():
-        seg_pts = " ".join(
-            f"{_fmt(sx(i))},{_fmt(sy(fitted[i]))}" for i in range(start - 1, end)
-        )
+        seg_pts = _points(xs[start - 1 : end], ys[start - 1 : end])
         out.append(
             f'<polyline points="{seg_pts}" fill="none" stroke="#c03028" '
             f'stroke-width="2"/>'

@@ -10,7 +10,8 @@ from tsseg import (
     means_cost_direct,
     poly_cost,
 )
-from tsseg.costs import _group_fit, _solve
+from tsseg import costs
+from tsseg.costs import _group_fit, _solve, lag_matrix
 
 
 def make_ar1(T, a0=1.0, a1=0.5, x0=0.0):
@@ -251,6 +252,40 @@ class TestSingularWindows:
         x = TimeSeries(np.concatenate([np.ones(5), np.full(15, 2.0)]))
         assert build_cost_matrix(x, "ar", order=2).window_cost(8, 20) <= 1e-12
 
+    @pytest.mark.parametrize(
+        "values, order",
+        [
+            (np.arange(20.0), 3),
+            (np.concatenate([np.random.default_rng(1).standard_normal(15),
+                             np.full(15, 2.0),
+                             np.random.default_rng(2).standard_normal(15)]), 2),
+        ],
+        ids=["linear-ar3", "constant-stretch-ar2"],
+    )
+    def test_fallback_only_for_rank_deficient_windows(self, values, order, monkeypatch):
+        # the pseudo-inverse is reached on no more windows than have a
+        # rank-deficient design: not on the windows past the series start
+        # that the block fill computes and drops, nor on a whole column
+        # because one of its windows is singular
+        reached = []
+        pinv = np.linalg.pinv
+
+        def counting_pinv(a, *args, **kwargs):
+            reached.append(int(np.prod(a.shape[:-2])))
+            return pinv(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "pinv", counting_pinv)
+        x = TimeSeries(values)
+        cm = build_cost_matrix(x, "ar", order=order)
+        U = lag_matrix(values, order)
+        deficient = sum(
+            np.linalg.matrix_rank(U[max(s, order + 1) - 1 : t]) <= order
+            for t in range(1, len(x) + 1)
+            for s in range(1, t + 1)
+            if not cm.is_flagged(s, t)
+        )
+        assert 0 < sum(reached) <= deficient
+
     @pytest.mark.parametrize("gap", [0.0, 1e-8, 1e-6])
     def test_collinear_solve_is_consistent(self, gap):
         # two regressors equal up to ``gap``: a plain solve of the normal
@@ -287,6 +322,63 @@ class TestGroupFit:
             assert fits.shape == (6, 1)
             np.testing.assert_allclose(fits, centre + _solve(gram, rhs), rtol=1e-12)
             assert fits[5, 0] == pytest.approx(centre, rel=1e-12)
+
+
+def means_columns(values):
+    """The means table one window end at a time: for each t, sums over the
+    rows t, t-1, ..., 1 and the closed form, as the block fill computes it."""
+    x = values - values.mean()
+    T = x.size
+    by_end = np.zeros((T, T))
+    lengths = np.arange(1.0, T + 1.0)
+    for t in range(1, T + 1):
+        rows = x[t - 1 :: -1]
+        cost = np.cumsum(rows * rows)
+        b = np.cumsum(rows)
+        cost -= b * b / lengths[:t]
+        cost[0] = 0.0
+        by_end[t - 1, :t] = np.maximum(cost, 0.0)[::-1]
+    return by_end
+
+
+class TestBlockFill:
+    @pytest.mark.parametrize(
+        "model, order",
+        [("means", 0), ("ar", 1), ("ar", 2), ("ar", 3),
+         ("poly", 0), ("poly", 1), ("poly", 2)],
+    )
+    def test_tables_do_not_depend_on_the_block_size(self, model, order, monkeypatch):
+        rng = np.random.default_rng(97 + order)
+        x = TimeSeries(rng.standard_normal(97) * 2.0 + 4.0)
+        default = build_cost_matrix(x, model, order=order)
+        for rows in (1, 7):
+            monkeypatch.setattr(costs, "_CELLS", rows * len(x) * (order + 1))
+            table = build_cost_matrix(x, model, order=order)
+            assert table.by_end.tobytes() == default.by_end.tobytes()
+            if model != "means":
+                np.testing.assert_array_equal(table.flagged, default.flagged)
+
+    @pytest.mark.parametrize("T", [200, 1261])
+    def test_means_table_is_the_column_loop(self, T):
+        rng = np.random.default_rng(T)
+        values = np.cumsum(rng.standard_normal(T)) + 50.0
+        table = build_cost_matrix(TimeSeries(values))
+        assert table.by_end.tobytes() == means_columns(values).tobytes()
+
+    def test_one_gram_serves_many_right_hand_sides(self):
+        rng = np.random.default_rng(12)
+        w, B, d = 9, 6, 3
+        rows = rng.standard_normal((w, 12, d)) * [1.0, 3.0, 0.5]
+        rows[4, :, 2] = rows[4, :, 1]  # a singular system, for the fallback
+        gram = np.einsum("wni,wnj->wij", rows, rows)
+        rhs = rng.standard_normal((B, w, d))
+        coef = _solve(gram, rhs)
+        assert coef.shape == (B, w, d)
+        for b in range(B):
+            for i in range(w):
+                expected = np.linalg.lstsq(gram[i], rhs[b, i], rcond=1e-10)[0]
+                err = np.linalg.norm(coef[b, i] - expected)
+                assert err <= 1e-12 * np.linalg.norm(expected)
 
 
 class TestCostMatrixContainer:
