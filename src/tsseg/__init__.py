@@ -20,7 +20,6 @@ from .core import (
     StateSequence,
     TimeSeries,
     global_sigma,
-    segment_sigmas,
     segment_stats,
     segmentation_cost,
     segmentation_from_states,
@@ -73,7 +72,6 @@ __all__ = [
     "segmentation_from_states",
     "states_from_segmentation",
     "segment_stats",
-    "segment_sigmas",
     "segmentation_cost",
     "global_sigma",
     "CostMatrix",

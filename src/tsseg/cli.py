@@ -21,7 +21,6 @@ import json
 import re
 import sys
 import time
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,7 +38,7 @@ from .selection import (
 from .simgen import run_benchmark
 from .svg import segmentation_svg
 
-__all__ = ["RunConfig", "ingest_csv", "cmd_segment", "cmd_benchmark", "main"]
+__all__ = ["ingest_csv", "cmd_segment", "cmd_benchmark", "main"]
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -55,35 +54,16 @@ class DataError(Exception):
     pass
 
 
-@dataclass
-class RunConfig:
-    """Resolved options for one ``segment`` invocation."""
-
-    input_path: str
-    value_column: int = 1
-    label_column: int | None = None
-    algorithm: str = "hmm"
-    cost_model: str = "means"
-    order: int = 1
-    K: int | None = None
-    k_max: int = 10
-    select_order: bool = False
-    p: float = 0.9
-    alpha: float = 0.05
-    min_segment_length: int | None = None
-    json_path: str | None = None
-    svg_path: str | None = None
-    dump_cost_matrix: str | None = None
-
-
-def _parse_cost_model(text: str) -> tuple[str, int | None]:
+def _parse_cost_model(text: str) -> tuple[str, int]:
+    """(model, order) from means, ar(L) or poly(L); L defaults to 3 for ar
+    and to 1 otherwise."""
     m = re.fullmatch(r"(means|ar|poly)(?:[:(](\d+)\)?)?", text.strip())
     if not m:
         raise UsageError(
             f"bad cost model {text!r}; expected means, ar(L) or poly(L)"
         )
     tag, order = m.group(1), m.group(2)
-    return tag, (int(order) if order is not None else None)
+    return tag, (int(order) if order is not None else (3 if tag == "ar" else 1))
 
 
 def ingest_csv(
@@ -157,14 +137,14 @@ def _label_for(x: TimeSeries, cp: int) -> int | None:
 
 
 def _segment_payload(
-    x: TimeSeries, seg: Segmentation, cfg: RunConfig, fits: np.ndarray
+    x: TimeSeries, seg: Segmentation, model: str, fits: np.ndarray
 ) -> list[dict]:
     """One entry per segment; ar and poly entries carry the segment's row
     of ``fits``, the coefficients from :func:`_segment_fits`."""
     payload = []
     stats = segment_stats(x, seg)
     coefs: list[list[float]] | None = None
-    if cfg.cost_model in ("ar", "poly"):
+    if model in ("ar", "poly"):
         coefs = [[float(c) for c in coef] for coef in fits]
     for k, ((start, end), st) in enumerate(zip(seg.segments(), stats), start=1):
         entry = {
@@ -229,11 +209,13 @@ def _jsonify(obj):
     return obj
 
 
-def cmd_segment(cfg: RunConfig) -> int:
-    x = ingest_csv(cfg.input_path, cfg.value_column, cfg.label_column)
-    if cfg.algorithm not in ("hmm", "dp"):
-        raise UsageError(f"unknown algorithm {cfg.algorithm!r}")
-    if cfg.algorithm == "hmm" and cfg.cost_model == "poly":
+def cmd_segment(args: argparse.Namespace) -> int:
+    """Runs ``segment`` on the arguments :func:`build_parser` parsed."""
+    model, order = _parse_cost_model(args.cost)
+    x = ingest_csv(args.input, args.value_col, args.label_col)
+    if args.algo not in ("hmm", "dp"):
+        raise UsageError(f"unknown algorithm {args.algo!r}")
+    if args.algo == "hmm" and model == "poly":
         raise UsageError(
             "cost model poly is only available with --algo dp "
             "(the HMM has no polynomial emission model)"
@@ -244,16 +226,16 @@ def cmd_segment(cfg: RunConfig) -> int:
     selection: SelectionReport | None = None
     matrix: CostMatrix | None = None
 
-    if cfg.select_order:
+    if args.select_order:
         selection = select_order(
             x,
-            cfg.algorithm,
-            cfg.cost_model,
-            order=cfg.order,
-            p=cfg.p,
-            alpha=cfg.alpha,
-            k_max=cfg.k_max,
-            min_segment_length=cfg.min_segment_length,
+            args.algo,
+            model,
+            order=order,
+            p=args.p,
+            alpha=args.alpha,
+            k_max=args.k_max,
+            min_segment_length=args.min_seg_len,
         )
         chosen = selection.chosen_order
         if chosen == 1:
@@ -262,43 +244,39 @@ def cmd_segment(cfg: RunConfig) -> int:
             seg = next(
                 r.segmentation for r in selection.records if r.order == chosen
             )
-    elif cfg.algorithm == "hmm":
-        if cfg.K is None:
+    elif args.algo == "hmm":
+        if args.K is None:
             raise UsageError("--K is required unless --select-order is given")
-        seg, trace = hmm_segment(
-            x, cfg.K, cfg.p, model=cfg.cost_model, order=cfg.order
-        )
+        seg, trace = hmm_segment(x, args.K, args.p, model=model, order=order)
     else:
-        if cfg.K is None:
+        if args.K is None:
             raise UsageError("--K is required unless --select-order is given")
-        matrix = build_cost_matrix(x, cfg.cost_model, order=cfg.order)
-        seg = dp_segment(matrix, cfg.K, cfg.min_segment_length)[
-            cfg.K - 1
-        ].segmentation
+        matrix = build_cost_matrix(x, model, order=order)
+        seg = dp_segment(matrix, args.K, args.min_seg_len)[args.K - 1].segmentation
     elapsed_ms = 1000.0 * (time.perf_counter() - started)
 
-    fitted, charged, fits = _segment_fits(x, seg, cfg.cost_model, cfg.order)
+    fitted, charged, fits = _segment_fits(x, seg, model, order)
     residuals = (x.values - fitted)[charged]
     cost = float(residuals @ residuals)
 
     report = {
         "tool": {"name": "tsseg", "version": __version__},
         "input": {
-            "path": cfg.input_path,
+            "path": args.input,
             "length": len(x),
-            "value_column": cfg.value_column,
-            "label_column": cfg.label_column,
+            "value_column": args.value_col,
+            "label_column": args.label_col,
         },
         "config": {
-            "algorithm": cfg.algorithm,
-            "cost_model": cfg.cost_model,
-            "order": cfg.order if cfg.cost_model != "means" else None,
-            "K": cfg.K,
-            "k_max": cfg.k_max if cfg.select_order else None,
-            "select_order": cfg.select_order,
-            "p": cfg.p,
-            "alpha": cfg.alpha,
-            "min_segment_length": cfg.min_segment_length,
+            "algorithm": args.algo,
+            "cost_model": model,
+            "order": order if model != "means" else None,
+            "K": args.K,
+            "k_max": args.k_max if args.select_order else None,
+            "select_order": args.select_order,
+            "p": args.p,
+            "alpha": args.alpha,
+            "min_segment_length": args.min_seg_len,
         },
         "result": {
             "order": seg.order,
@@ -309,7 +287,7 @@ def cmd_segment(cfg: RunConfig) -> int:
                 else None
             ),
             "cost": cost,
-            "segments": _segment_payload(x, seg, cfg, fits),
+            "segments": _segment_payload(x, seg, model, fits),
         },
     }
     if trace is not None:
@@ -320,24 +298,24 @@ def cmd_segment(cfg: RunConfig) -> int:
         report["selection"] = _selection_payload(selection)
 
     text = json.dumps(_jsonify(report), indent=2, sort_keys=True) + "\n"
-    if cfg.json_path:
-        with open(cfg.json_path, "w", encoding="utf-8") as fh:
+    if args.json:
+        with open(args.json, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
 
-    if cfg.svg_path:
-        with open(cfg.svg_path, "w", encoding="utf-8") as fh:
+    if args.svg:
+        with open(args.svg, "w", encoding="utf-8") as fh:
             fh.write(
                 segmentation_svg(
                     x, seg, fitted=fitted,
-                    title=f"{cfg.algorithm}/{cfg.cost_model} order {seg.order}",
+                    title=f"{args.algo}/{model} order {seg.order}",
                 )
             )
-    if cfg.dump_cost_matrix:
+    if args.dump_cost_matrix:
         if matrix is None:
-            matrix = build_cost_matrix(x, cfg.cost_model, order=cfg.order)
-        with open(cfg.dump_cost_matrix, "w", encoding="utf-8") as fh:
+            matrix = build_cost_matrix(x, model, order=order)
+        with open(args.dump_cost_matrix, "w", encoding="utf-8") as fh:
             fh.write(matrix.to_tsv())
 
     boundaries = ", ".join(str(cp) for cp in seg.change_points)
@@ -406,7 +384,9 @@ def build_parser() -> argparse.ArgumentParser:
     seg.add_argument("--alpha", type=float, default=0.05,
                      help="significance level (default 0.05)")
     seg.add_argument("--min-seg-len", type=int, default=None,
-                     dest="min_seg_len", help="minimum segment length")
+                     dest="min_seg_len",
+                     help="minimum segment length, at least 1 (--algo dp "
+                          "only; the HMM ignores it)")
     seg.add_argument("--json", default=None, metavar="PATH",
                      help="write the JSON report here instead of stdout")
     seg.add_argument("--svg", default=None, metavar="PATH",
@@ -436,25 +416,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         if args.command == "segment":
-            tag, order = _parse_cost_model(args.cost)
-            cfg = RunConfig(
-                input_path=args.input,
-                value_column=args.value_col,
-                label_column=args.label_col,
-                algorithm=args.algo,
-                cost_model=tag,
-                order=order if order is not None else (3 if tag == "ar" else 1),
-                K=args.K,
-                k_max=args.k_max,
-                select_order=args.select_order,
-                p=args.p,
-                alpha=args.alpha,
-                min_segment_length=args.min_seg_len,
-                json_path=args.json,
-                svg_path=args.svg,
-                dump_cost_matrix=args.dump_cost_matrix,
-            )
-            return cmd_segment(cfg)
+            return cmd_segment(args)
         return cmd_benchmark(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -27,7 +27,6 @@ __all__ = [
     "segment_stats",
     "segmentation_cost",
     "global_sigma",
-    "segment_sigmas",
 ]
 
 #: Floor substituted for a zero standard deviation before dividing by it.
@@ -189,15 +188,3 @@ def global_sigma(x: TimeSeries) -> float:
         raise ValueError("global sigma needs at least two observations")
     r = x.values - x.values.mean()
     return float(np.sqrt((r @ r) / (len(x) - 1)))
-
-
-def segment_sigmas(x: TimeSeries, t: Segmentation) -> list[float]:
-    """Per-segment deviation estimates sqrt(d_k / (T_k - 1)).
-
-    Provided for completeness; the segmentation algorithms use the global
-    estimate.  Length-1 segments yield 0.0.
-    """
-    return [
-        float(np.sqrt(s.deviation / (s.length - 1))) if s.length > 1 else 0.0
-        for s in segment_stats(x, t)
-    ]

@@ -30,7 +30,7 @@ against.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided, sliding_window_view
@@ -65,6 +65,15 @@ class SingularWindowError(Exception):
         super().__init__(message or f"singular design on window [{s}, {t}]")
 
 
+def _admissibility(model: str, order: int) -> tuple[int, int]:
+    """(default minimum segment length, first identified end) of a table;
+    see :class:`CostMatrix`."""
+    if model == "means":
+        return 1, 1
+    min_len = order + 2
+    return min_len, min_len + order if model == "ar" else min_len
+
+
 @dataclass(frozen=True)
 class CostMatrix:
     """Triangular table of window costs d[s, t] for 1 <= s <= t <= T.
@@ -72,30 +81,27 @@ class CostMatrix:
     Storage is row-major by window end: ``by_end[t-1, s-1]`` holds d[s, t],
     so the dynamic program can read each column d[., t] contiguously.
 
-    ``flagged`` marks under-determined windows (too short to identify the
-    model); their stored cost is 0 and segmenters should avoid them unless
-    no alternative exists.  ``boundary`` marks windows whose regressors use
-    clamped values from before the start of the series (informational).
+    Which windows a segmenter may select is one rule, not a stored mask.
+    An ar or poly window [s, t] is *flagged* (under-determined: too few
+    charged rows to identify the model; its stored cost is 0) exactly when
+    t - s + 1 < ``default_min_segment_length`` (order + 2) or
+    t < ``first_end``, the first end that has an identified window: order + 2
+    for poly, and 2 order + 2 for ar, which does not charge the first
+    ``order`` rows of the series.  Means flags nothing (``first_end`` 1).
+    So the admissible windows ending at t >= ``first_end`` are those with
+    s - 1 <= t - ``default_min_segment_length``: one bound per end on the
+    previous change point.
     """
 
     by_end: np.ndarray
     model_tag: str
-    model_params: dict = field(default_factory=dict)
-    flagged: np.ndarray | None = None
-    boundary: np.ndarray | None = None
+    order: int = 0
 
     def __post_init__(self) -> None:
         be = np.asarray(self.by_end, dtype=np.float64)
         if be.ndim != 2 or be.shape[0] != be.shape[1]:
             raise ValueError("cost table must be square")
         object.__setattr__(self, "by_end", _freeze(be))
-        for name in ("flagged", "boundary"):
-            m = getattr(self, name)
-            if m is not None:
-                m = np.asarray(m, dtype=bool)
-                if m.shape != be.shape:
-                    raise ValueError(f"{name} mask must match the cost table shape")
-                object.__setattr__(self, name, _freeze(m))
 
     @property
     def n(self) -> int:
@@ -104,9 +110,12 @@ class CostMatrix:
     @property
     def default_min_segment_length(self) -> int:
         """Shortest window a segmenter should select by default."""
-        if self.model_tag == "means":
-            return 1
-        return int(self.model_params.get("order", 0)) + 2
+        return _admissibility(self.model_tag, self.order)[0]
+
+    @property
+    def first_end(self) -> int:
+        """First window end at which some window is not flagged."""
+        return _admissibility(self.model_tag, self.order)[1]
 
     def window_cost(self, s: int, t: int) -> float:
         self._check_window(s, t)
@@ -114,14 +123,34 @@ class CostMatrix:
 
     def is_flagged(self, s: int, t: int) -> bool:
         self._check_window(s, t)
-        return bool(self.flagged is not None and self.flagged[t - 1, s - 1])
+        return self.model_tag != "means" and (
+            t - s + 1 < self.default_min_segment_length or t < self.first_end
+        )
 
-    def column(self, t: int, masked: bool = True) -> np.ndarray:
-        """Costs d[s, t] for s = 1..t; flagged windows become +inf if masked."""
-        col = self.by_end[t - 1, :t]
-        if masked and self.flagged is not None:
-            col = np.where(self.flagged[t - 1, :t], np.inf, col)
-        return col
+    # The two masks below are built on demand from the rule, for
+    # bench/run.py's ``work_counts``, which sums their bytes into
+    # ``costs.table_bytes``; nothing in the package reads them.
+
+    @property
+    def flagged(self) -> np.ndarray | None:
+        """``flagged[t-1, s-1]`` tells whether [s, t] is flagged (None for means)."""
+        if self.model_tag == "means":
+            return None
+        # admissible: s - 1 <= t - default_min_segment_length, t >= first_end
+        k = 1 - self.default_min_segment_length
+        admissible = np.tri(self.n, k=k, dtype=bool)
+        admissible[: self.first_end - 1] = False
+        return np.tri(self.n, dtype=bool) & ~admissible
+
+    @property
+    def boundary(self) -> np.ndarray | None:
+        """``boundary[t-1, s-1]`` tells whether the ar window [s, t] starts in
+        the first ``order`` positions, whose lags are clamped (None unless ar)."""
+        if self.model_tag != "ar":
+            return None
+        boundary = np.tri(self.n, dtype=bool)
+        boundary[:, self.order :] = False
+        return boundary
 
     def _check_window(self, s: int, t: int) -> None:
         if not (1 <= s <= t <= self.n):
@@ -368,9 +397,8 @@ def build_cost_matrix(
     """Cost table of ``model`` in {means, ar, poly}, filled a block of
     window ends at a time.
 
-    ``order`` is the lag count of ar and the degree of poly.  ar and poly
-    tables flag their under-determined windows; ar tables also mark the
-    windows that start in the first ``order`` positions as boundary windows.
+    ``order`` is the lag count of ar and the degree of poly.  The windows
+    that :class:`CostMatrix`'s rule flags are stored as 0.
     """
     T = len(x)
     if model == "means":
@@ -401,14 +429,15 @@ def build_cost_matrix(
     elif d > 1:
         by_length = np.cumsum(design[:, :, None] * design[:, None, :], axis=0)
     # A window [t-i, t] is identified when it has more than d charged rows:
-    # when i >= d, at the ends t that have such a window at all.
-    identified = np.cumsum(weight) > d
+    # when i >= d, at the ends t >= first_end.
+    first_end = _admissibility(model, order)[1]
     lengths = np.arange(1.0, T + 1.0)
 
     by_end = np.zeros((T, T))
     rows = max(1, _CELLS // (T * d))
     for t0 in range(1, T + 1, rows):
         t1 = min(t0 + rows - 1, T)
+        unidentified = max(0, first_end - t0)  # the block's ends t < first_end
         cost = _cumsum_by_age(padded_wxx, t0, t1)
         if d == 1:  # the design is [1] and every row is charged
             b = _cumsum_by_age(padded_wx, t0, t1)
@@ -423,7 +452,7 @@ def build_cost_matrix(
                 # an identified window get the system I c = 0, which the
                 # solve passes, instead of a singular one
                 skip = np.arange(d, t1) >= np.arange(t0, t1 + 1)[:, None]
-                skip |= ~identified[t0 - 1 : t1, None]
+                skip[:unidentified] = True
                 np.copyto(rhs, 0.0, where=skip[..., None])
                 np.copyto(gram, np.eye(d), where=skip[..., None, None])
             else:
@@ -435,24 +464,8 @@ def build_cost_matrix(
                 rhs = np.moveaxis(np.cumsum(xs, axis=-1), -1, 1)[:, d:]
             cost[:, d:] -= _dot(rhs, _solve(gram, rhs))
         cost[:, :d] = 0.0
-        cost[~identified[t0 - 1 : t1]] = 0.0
+        cost[:unidentified] = 0.0
         np.maximum(cost, 0.0, out=cost)
         _store_by_start(by_end, cost, t0)
 
-    flagged = None
-    if model != "means":
-        ends = np.arange(1, T + 1)
-        lo = np.where(identified, d, ends)
-        start = np.arange(T)
-        flagged = (start >= (ends - lo)[:, None]) & (start < ends[:, None])
-    boundary = None
-    if model == "ar":
-        boundary = np.tri(T, dtype=bool)
-        boundary[:, order:] = False
-    return CostMatrix(
-        by_end=by_end,
-        model_tag=model,
-        model_params={"order": order},
-        flagged=flagged,
-        boundary=boundary,
-    )
+    return CostMatrix(by_end=by_end, model_tag=model, order=order)

@@ -92,6 +92,7 @@ def test_exit_0_on_success(tmp_path, capsys):
         (["--algo", "hmm"], "--K is required"),
         # hard EM stops exactly, so there is no convergence tolerance to set
         (["--K", "2", "--epsilon", "1e-6"], "unrecognized arguments: --epsilon"),
+        (["--algo", "dp", "--K", "2", "--min-seg-len", "0"], "at least 1"),
     ],
 )
 def test_exit_1_on_usage_errors(tmp_path, capsys, args, message):

@@ -10,7 +10,6 @@ from tsseg import (
     StateSequence,
     TimeSeries,
     global_sigma,
-    segment_sigmas,
     segment_stats,
     segmentation_cost,
     segmentation_from_states,
@@ -177,13 +176,3 @@ class TestGlobalSigma:
     def test_needs_two_points(self):
         with pytest.raises(ValueError):
             global_sigma(TimeSeries([1.0]))
-
-
-def test_segment_sigmas():
-    x = TimeSeries([0, 2, 5, 5, 5])
-    t = Segmentation((0, 2, 5))
-    sig = segment_sigmas(x, t)
-    assert sig[0] == pytest.approx(math.sqrt(2))
-    assert sig[1] == 0.0
-    # single-point segments report 0 by convention
-    assert segment_sigmas(x, Segmentation((0, 1, 5)))[0] == 0.0

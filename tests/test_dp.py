@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from tsseg import (
+    CostMatrix,
     Segmentation,
     TimeSeries,
     brute_force_segment,
@@ -10,6 +11,42 @@ from tsseg import (
     min_cost_curve,
 )
 from tsseg.dp import _run_dp
+
+MODELS = {
+    "means": ("means", 0),
+    "ar(1)": ("ar", 1),
+    "ar(2)": ("ar", 2),
+    "ar(3)": ("ar", 3),
+    "poly(0)": ("poly", 0),
+    "poly(1)": ("poly", 1),
+    "poly(2)": ("poly", 2),
+}
+
+
+def stored_mask(T, model, order):
+    """Reference flagged mask, counted from the charged rows: a window
+    [t-i, t] is identified when it has more than d = order + 1 charged rows (ar does
+    not charge the first ``order`` rows of the series), and every window at
+    an end without an identified window is flagged.  Means flags nothing."""
+    if model == "means":
+        return np.zeros((T, T), dtype=bool)
+    d = order + 1
+    weight = np.ones(T)
+    if model == "ar":
+        weight[:order] = 0.0
+    identified = np.cumsum(weight) > d
+    ends = np.arange(1, T + 1)
+    lo = np.where(identified, d, ends)
+    start = np.arange(T)
+    return (start >= (ends - lo)[:, None]) & (start < ends[:, None])
+
+
+def columns(cm, mask=None):
+    """column(t)[s] = d[s+1, t] for s = 0..t-1, flagged windows +inf."""
+    def column(t):
+        col = cm.by_end[t - 1, :t]
+        return col if mask is None else np.where(mask[t - 1, :t], np.inf, col)
+    return column
 
 
 def per_order_dp(column, T, k_max, min_len):
@@ -153,28 +190,51 @@ def test_hmm_cost_never_beats_dp():
         assert segmentation_cost(x, seg) >= dp_cost - 1e-9
 
 
-@pytest.mark.parametrize("model", ["means", "ar(2)", "poly(1)"])
+@pytest.mark.parametrize("model", list(MODELS))
+def test_is_flagged_is_the_stored_mask(model):
+    model, order = MODELS[model]
+    for T in range(1, 41):
+        cm = CostMatrix(np.zeros((T, T)), model, order)
+        mask = stored_mask(T, model, order)
+        for t in range(1, T + 1):
+            for s in range(1, t + 1):
+                assert cm.is_flagged(s, t) == mask[t - 1, s - 1]
+
+
+@pytest.mark.parametrize("model", list(MODELS))
 def test_fill_is_bit_identical_to_per_order_reference(model):
+    model, order = MODELS[model]
     rng = np.random.default_rng(404)
     for trial in range(6):
         T = int(rng.integers(12, 40))
         # a coarse grid of values makes tied candidates common
         x = TimeSeries(np.round(rng.normal(0.0, 2.0, T)))
-        if model == "means":
-            cm = build_cost_matrix(x)
-        elif model == "ar(2)":
-            cm = build_cost_matrix(x, "ar", order=2)
-        else:
-            cm = build_cost_matrix(x, "poly", order=1)
+        cm = build_cost_matrix(x, model, order=order)
+        masked = columns(cm, stored_mask(T, model, order))
         k_max = min(T, 8)
-        masked = (lambda t: cm.column(t, masked=True), T, k_max,
-                  cm.default_min_segment_length)
-        permissive = (lambda t: cm.column(t, masked=False), T, k_max, 1)
-        for args in (masked, permissive):
+        default = cm.default_min_segment_length
+        runs = [
+            # the masked pass: the bound on the previous change point stands
+            # for the mask over the reference's columns
+            ((cm.by_end, k_max, max(default, m), cm.first_end),
+             (masked, T, k_max, m))
+            for m in (1, default, default + 2)
+        ]
+        runs.append(((cm.by_end, k_max, 1, 1), (columns(cm), T, k_max, 1)))
+        for args, ref_args in runs:
             c, back = _run_dp(*args)
-            ref_c, ref_back = per_order_dp(*args)
+            ref_c, ref_back = per_order_dp(*ref_args)
             assert np.array_equal(c, ref_c)
             assert np.array_equal(back, ref_back)
+
+
+def test_min_segment_length_below_one_is_rejected():
+    cm = build_cost_matrix(TimeSeries([1.0, 2.0, 3.0]))
+    for bad in (0, -2):
+        with pytest.raises(ValueError, match="at least 1"):
+            dp_segment(cm, 2, bad)
+        with pytest.raises(ValueError, match="at least 1"):
+            brute_force_segment(cm, 2, bad)
 
 
 def test_permissive_pass_supplies_infeasible_orders():
@@ -185,7 +245,7 @@ def test_permissive_pass_supplies_infeasible_orders():
     cm = build_cost_matrix(TimeSeries(rng.standard_normal(16)), "ar", order=2)
     results = dp_segment(cm, 6)
     assert [r.used_flagged for r in results] == [False] * 3 + [True] * 3
-    ref_c, ref_back = per_order_dp(lambda t: cm.column(t, masked=False), 16, 6, 1)
+    ref_c, ref_back = per_order_dp(columns(cm), 16, 6, 1)
     for res in results[3:]:
         assert res.cost == ref_c[res.order, 16]
         cur, cps = 16, [16]
