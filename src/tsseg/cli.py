@@ -3,8 +3,9 @@
 Two subcommands:
 
 * ``segment``: read a CSV/TSV series, segment it with either the iterative
-  HMM algorithm or the exact dynamic program, and write a JSON report plus
-  optional SVG overlay and cost-matrix dump.
+  HMM algorithm or the exact dynamic program under any of the cost models
+  means, ar(L) and poly(L), and write a JSON report plus optional SVG
+  overlay and cost-matrix dump.
 * ``benchmark``: run the synthetic accuracy/runtime grid and emit a CSV
   table plus aligned text tables.
 
@@ -26,12 +27,11 @@ import numpy as np
 
 from . import __version__
 from .core import Segmentation, TimeSeries, segment_stats
-from .costs import CostMatrix, SingularWindowError, build_cost_matrix
+from .costs import CostMatrix, SingularWindowError, _segment_fits, build_cost_matrix
 from .dp import dp_segment
 from .hmm import EmTrace, hmm_segment
 from .selection import (
     SelectionReport,
-    _segment_fits,
     _segment_residuals,  # noqa: F401  bench/probes.py wraps the name here
     select_order,
 )
@@ -213,13 +213,8 @@ def cmd_segment(args: argparse.Namespace) -> int:
     """Runs ``segment`` on the arguments :func:`build_parser` parsed."""
     model, order = _parse_cost_model(args.cost)
     x = ingest_csv(args.input, args.value_col, args.label_col)
-    if args.algo not in ("hmm", "dp"):
-        raise UsageError(f"unknown algorithm {args.algo!r}")
-    if args.algo == "hmm" and model == "poly":
-        raise UsageError(
-            "cost model poly is only available with --algo dp "
-            "(the HMM has no polynomial emission model)"
-        )
+    if args.K is None and not args.select_order:
+        raise UsageError("--K is required unless --select-order is given")
 
     started = time.perf_counter()
     trace: EmTrace | None = None
@@ -245,18 +240,14 @@ def cmd_segment(args: argparse.Namespace) -> int:
                 r.segmentation for r in selection.records if r.order == chosen
             )
     elif args.algo == "hmm":
-        if args.K is None:
-            raise UsageError("--K is required unless --select-order is given")
         seg, trace = hmm_segment(x, args.K, args.p, model=model, order=order)
     else:
-        if args.K is None:
-            raise UsageError("--K is required unless --select-order is given")
         matrix = build_cost_matrix(x, model, order=order)
         seg = dp_segment(matrix, args.K, args.min_seg_len)[args.K - 1].segmentation
     elapsed_ms = 1000.0 * (time.perf_counter() - started)
 
-    fitted, charged, fits = _segment_fits(x, seg, model, order)
-    residuals = (x.values - fitted)[charged]
+    fitted, first, fits = _segment_fits(x.values, seg.change_points, model, order)
+    residuals = (x.values - fitted)[first:]
     cost = float(residuals @ residuals)
 
     report = {
@@ -372,7 +363,9 @@ def build_parser() -> argparse.ArgumentParser:
                      help="1-based column of integer labels such as years")
     seg.add_argument("--algo", choices=("hmm", "dp"), default="hmm")
     seg.add_argument("--cost", default="means",
-                     help="cost model: means, ar(L) or poly(L)")
+                     help="cost model of either algorithm: means, ar(L) "
+                          "(L lags, default 3) or poly(L) (degree L, "
+                          "default 1)")
     seg.add_argument("--K", type=int, default=None,
                      help="number of segments (fixed-order run)")
     seg.add_argument("--K-max", type=int, default=10, dest="k_max",

@@ -128,10 +128,6 @@ class StateSequence:
     def __len__(self) -> int:
         return int(self.states.size)
 
-    @property
-    def states_used(self) -> int:
-        return int(np.unique(self.states).size)
-
 
 def segmentation_from_states(z: StateSequence) -> Segmentation:
     """Change points of ``z``: every index where the state value switches.

@@ -13,7 +13,8 @@ All three are the least-squares residual of x_u on a design row over the
 charged rows u of the window: [1] for means, [1, x_{u-1}, ..., x_{u-L}] for
 ar (the first L rows, whose lags are clamped, are not charged), and
 [1, (t-u), ..., (t-u)^L] for poly, which spans the same polynomials as the
-within-segment offset.  :func:`build_cost_matrix` builds every table: it
+within-segment offset.  :func:`_design` names these rows once.
+:func:`build_cost_matrix` builds every table from them: it
 fills a block of consecutive window ends at a time, indexing each window
 [t-i, t] by its end t and its age i.  The sums of u u', u x and x^2
 over a window are one cumsum along the rows t, t-1, ... of the block's
@@ -23,7 +24,8 @@ closed form; ar and poly solve the Jacobi-scaled normal equations, with no
 ridge, by one broadcasting Cholesky solve over the whole block (poly's Gram
 matrix depends only on the window length, so it is factored once per
 length and serves every end).  That is O(T^2 d^2) work for d regressors.
-The segmenters' per-segment fits use the same solve.  Each model also has a
+Both segmenters fit a segmentation through :func:`_segment_fits`, on the
+same design rows and by the same solve.  Each model also has a
 direct evaluator (the slow, obviously-correct form) the tables are checked
 against.
 """
@@ -317,33 +319,74 @@ def _solve(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return c / scale
 
 
+def _design(
+    values: np.ndarray, model: str, order: int, time: np.ndarray
+) -> tuple[np.ndarray, int]:
+    """Design rows of ``model`` at every index of ``values``, and the first
+    charged row: [1] for means, :func:`lag_matrix` for ar, whose first
+    ``order`` rows (their lags are clamped) are neither fitted nor charged,
+    and [1, u, ..., u^order] of ``time`` for poly."""
+    if model == "means":
+        return np.ones((values.size, 1)), 0
+    if model == "ar":
+        return lag_matrix(values, order), order
+    if model == "poly":
+        return np.vander(time, order + 1, increasing=True), 0
+    raise ValueError(f"unknown cost model {model!r}")
+
+
 def _group_fit(
     design: np.ndarray, target: np.ndarray, groups: np.ndarray, n_groups: int
 ) -> np.ndarray:
-    """Least-squares coefficients of ``target`` on ``design`` within each
-    group of rows (``groups`` labels rows 0..n_groups-1), by :func:`_solve`,
-    or for the design [1] by the closed form, the group mean.
+    """Least-squares coefficients of ``target`` on ``design``, whose first
+    column is the intercept, within each group of rows (``groups`` labels
+    rows 0..n_groups-1), by :func:`_solve`, or for the design [1] by the
+    closed form, the group mean.
 
-    As in the cost kernel, the target and the columns after the first (the
-    intercept, which absorbs the shift) are centred, so a series far from
-    zero keeps its precision.  A group without rows gets the target's mean.
+    The target and the other columns are centred on each group's own rows,
+    which leaves the slopes to a system without the intercept: a series far
+    from zero keeps its precision, and the powers of a short group's time
+    offsets stay apart.  A group without rows gets the target's mean.
     """
     centre = target.mean()
-    d = design.shape[1]
-    if d == 1:  # the design is [1]: the fit is the group mean
-        counts = np.bincount(groups, minlength=n_groups)
+    counts = np.bincount(groups, minlength=n_groups)
+    if design.shape[1] == 1:  # the design is [1]: the fit is the group mean
         sums = np.bincount(groups, weights=target - centre, minlength=n_groups)
         return (centre + sums / np.maximum(counts, 1))[:, None]
-    shift = design.mean(axis=0)
-    shift[0] = 0.0
-    u = design - shift
+    rows = np.column_stack([target - centre, design[:, 1:]])
+    means = np.zeros((n_groups, rows.shape[1]))
+    np.add.at(means, groups, rows)
+    means /= np.maximum(counts, 1)[:, None]
+    rows -= means[groups]
+    y, u = rows[:, 0], rows[:, 1:]
+    d = u.shape[1]
     gram = np.zeros((n_groups, d, d))
     np.add.at(gram, groups, u[:, :, None] * u[:, None, :])
     rhs = np.zeros((n_groups, d))
-    np.add.at(rhs, groups, u * (target - centre)[:, None])
-    coefs = _solve(gram, rhs)
-    coefs[:, 0] += centre - coefs[:, 1:] @ shift[1:]
-    return coefs
+    np.add.at(rhs, groups, u * y[:, None])
+    slopes = _solve(gram, rhs)
+    intercept = centre + means[:, 0] - _dot(slopes, means[:, 1:])
+    return np.column_stack([intercept, slopes])
+
+
+def _segment_fits(
+    values: np.ndarray, bounds, model: str, order: int
+) -> tuple[np.ndarray, int, np.ndarray]:
+    """Least-squares fit of ``model`` on each block of a segmentation.
+
+    ``bounds`` holds the K+1 block boundaries 0 = b_0 <= ... <= b_K = T
+    (0-based; block k covers [b_k, b_{k+1}) and may be empty).  Returns the
+    fitted value at every index, the first charged index (:func:`_design`;
+    the fitted values before it are only for display), and the coefficients
+    of each block, one row each.  A polynomial is fitted in the within-block
+    offset 1..n, as in :func:`poly_cost`.
+    """
+    bounds = np.asarray(bounds)
+    block = np.repeat(np.arange(bounds.size - 1), np.diff(bounds))
+    offset = np.arange(1.0, values.size + 1.0) - bounds[block]
+    design, first = _design(values, model, order, offset)
+    coefs = _group_fit(design[first:], values[first:], block[first:], bounds.size - 1)
+    return np.einsum("ij,ij->i", design, coefs[block]), first, coefs
 
 
 def _reversed_padded(rows: np.ndarray) -> np.ndarray:
@@ -403,8 +446,6 @@ def build_cost_matrix(
     T = len(x)
     if model == "means":
         order = 0
-    elif model not in ("ar", "poly"):
-        raise ValueError(f"unknown cost model {model!r}")
     elif order is None:
         raise ValueError(f"cost model {model!r} needs an order")
     elif T <= order + 1:
@@ -412,12 +453,9 @@ def build_cost_matrix(
     # Centring x (the intercept absorbs it); ar rows are indexed by the
     # time u, means and poly rows by the age t - u.
     xc = x.values - x.values.mean()
+    design, first = _design(xc, model, order, np.arange(float(T)))
     weight = np.ones(T)
-    if model == "ar":
-        design = lag_matrix(xc, order)
-        weight[:order] = 0.0
-    else:
-        design = np.vander(np.arange(float(T)), order + 1, increasing=True)
+    weight[:first] = 0.0
     d = design.shape[1]
     wx = weight * xc
     padded_wx = _reversed_padded(wx)

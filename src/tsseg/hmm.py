@@ -3,10 +3,15 @@
 The chain has K states, stays in state k with probability p, moves to k+1
 with probability 1-p, and never moves otherwise (the last state is
 absorbing).  Observations are conditionally Gaussian around a per-state
-least-squares fit (a mean, or an autoregression) with one shared sigma;
-emission densities are used without their normalization constant, so joint
-log-likelihoods here are comparable to each other but not to fully
-normalized densities.
+least-squares fit with one shared sigma: the segmenters' one per-segment
+fit (:func:`~tsseg.costs._segment_fits`) of any of the dynamic program's
+cost models, a mean, an autoregression or a polynomial in time.  So a
+path's cost is the sum of the dynamic program's window costs over its
+segments.  A polynomial state is fitted in the time offset from the start
+of its block and predicts every time step in the offset from that same
+start.  Emission densities are used without their normalization constant,
+so joint log-likelihoods here are comparable to each other but not to
+fully normalized densities.
 
 Segmentation alternates two exact steps until the likelihood settles:
 re-estimate per-state parameters from the current segmentation, then
@@ -42,7 +47,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import SIGMA_FLOOR, Segmentation, StateSequence, TimeSeries, global_sigma
-from .costs import _group_fit, lag_matrix
+from .costs import _design, _segment_fits
 
 __all__ = ["EmIteration", "EmTrace", "hmm_segment"]
 
@@ -123,7 +128,8 @@ class EmIteration:
     """One iterate: the decoded path paired with parameters refit to it."""
 
     iteration: int
-    params: np.ndarray       # (K, order+1) coefficients; order 0 is the means
+    params: np.ndarray       # (K, order+1) coefficients; order 0 is the means;
+                             # poly rows are in each state's block offset 1..n
     segmentation: Segmentation
     log_likelihood: float    # joint log-likelihood of (path, refit params)
     cost: float              # total squared deviation / prediction error
@@ -181,59 +187,46 @@ def _binary_split_states(values: np.ndarray, K: int) -> np.ndarray:
     return np.array([a for a, _, _, _ in blocks] + [T], dtype=np.int64)
 
 
-class _LsqModel:
-    """Per-state least-squares fits of x_t on a fixed design row, by the
-    cost kernel's solve: [1] for means (order 0), [1, x_{t-1}, ...,
-    x_{t-order}] for an autoregression of the given order.
+def _run_em(
+    values: np.ndarray, K: int, p: float, sigma: float, bounds: np.ndarray,
+    model: str, order: int,
+) -> EmTrace:
+    T = values.size
+    log_stay, log_move = math.log(p), math.log(1.0 - p)
+    time = np.arange(1.0, T + 1.0)
+    design, first = _design(values, model, order, time)
 
-    As in the DP cost tables (:func:`ar_cost_exact`), the first ``order``
-    observations, whose lags are clamped, are neither fitted nor charged.
-    Their emission is the same in every state, so they leave the decoded
-    path to the transition terms.
-    """
-
-    def __init__(self, x: TimeSeries, K: int, order: int):
-        self.values = x.values
-        self.K = K
-        self.order = order
-        self.U = lag_matrix(x.values, order)
-        self.design = self.U[order:]
-        self.target = self.values[order:]
-
-    def _rows(self, bounds: np.ndarray) -> np.ndarray:
-        """State of each charged row of the path with these boundaries."""
-        return np.repeat(np.arange(self.K), np.diff(bounds))[self.order :]
-
-    def refit(self, bounds: np.ndarray, prev: np.ndarray | None) -> np.ndarray:
-        """Coefficients refit to the path.  A state without rows keeps its
-        ``prev`` row; on the first fit it gets the mean of the series."""
-        coefs = _group_fit(self.design, self.target, self._rows(bounds), self.K)
+    def refit(bounds, prev, prev_origins):
+        """Coefficients refit to the path, the start of the block each state
+        was fitted on, and the path's cost.  A state without charged rows
+        keeps its ``prev`` row and origin; on the first fit it gets the mean
+        of the series."""
+        fitted, _, params = _segment_fits(values, bounds, model, order)
+        origins = bounds[:-1]
         if prev is not None:
-            unused = np.diff(np.maximum(bounds, self.order)) == 0
-            coefs[unused] = prev[unused]
-        return coefs
+            unused = np.diff(np.maximum(bounds, first)) == 0
+            params[unused] = prev[unused]
+            origins = np.where(unused, prev_origins, origins)
+        err = values[first:] - fitted[first:]
+        return params, origins, float(err @ err)
 
-    def log_emissions(self, params: np.ndarray, sigma: float) -> np.ndarray:
-        err = self.values[:, None] - self.U @ params.T
-        err[: self.order] = 0.0
+    def log_emissions(params, origins):
+        if model == "poly":  # each state's polynomial in its own block offset
+            fit = np.column_stack([
+                _design(values, model, order, time - o)[0] @ c
+                for c, o in zip(params, origins)
+            ])
+        else:
+            fit = design @ params.T
+        err = values[:, None] - fit
+        err[:first] = 0.0  # uncharged rows emit alike in every state
         err *= err
         err /= -2.0 * sigma**2
         return err
 
-    def cost(self, bounds: np.ndarray, params: np.ndarray) -> float:
-        rows = self._rows(bounds)
-        err = self.target - np.einsum("ij,ij->i", self.design, params[rows])
-        return float(err @ err)
-
-
-def _run_em(
-    model, K: int, p: float, sigma: float, bounds: np.ndarray
-) -> EmTrace:
-    T = int(bounds[-1])
-    log_stay, log_move = math.log(p), math.log(1.0 - p)
-
-    def record(i: int, bounds: np.ndarray, params: np.ndarray) -> EmIteration:
-        cost = model.cost(bounds, params)
+    def record(
+        i: int, bounds: np.ndarray, params: np.ndarray, cost: float
+    ) -> EmIteration:
         # The path moves once into each state up to the last one it uses
         # and pays a stay for every other step, except in the absorbing
         # state K, where stays are free.
@@ -253,13 +246,13 @@ def _run_em(
             states_used=segmentation.order,
         )
 
-    params = model.refit(bounds, None)
-    records = [record(0, bounds, params)]
+    params, origins, cost = refit(bounds, None, None)
+    records = [record(0, bounds, params, cost)]
     converged = False
     for i in range(1, _MAX_ITER + 1):
-        bounds, _ = _decode(model.log_emissions(params, sigma), p)
-        params = model.refit(bounds, params)
-        records.append(record(i, bounds, params))
+        bounds, _ = _decode(log_emissions(params, origins), p)
+        params, origins, cost = refit(bounds, params, origins)
+        records.append(record(i, bounds, params, cost))
         if records[-1].log_likelihood <= records[-2].log_likelihood:
             converged = True
             break
@@ -287,7 +280,7 @@ def hmm_segment(
     Viterbi decoding.
 
     The initial segmentation is a deterministic greedy binary segmentation
-    on the means cost, for either model.  The paper's abstract does not say
+    on the means cost, for every model.  The paper's abstract does not say
     how the iteration is started; an equal split mixes regimes of unequal
     length and leaves hard EM at a poor local optimum, where this start
     puts each state on one level of the data.
@@ -298,9 +291,9 @@ def hmm_segment(
     log-likelihood is not above the previous one; since no iteration
     lowers it and the paths are finite, that stop is exact, and
     ``converged`` is False only if ``_MAX_ITER`` iterations all improved.
-    ``model`` selects the segment family: "means" (default), the
-    order-0 case of the least-squares state model, or "ar" with the given
-    ``order``.
+    ``model`` selects the segment family, one of the dynamic program's cost
+    models: "means" (default), the order-0 case of the least-squares state
+    model, "ar" with ``order`` lags, or "poly" of degree ``order``.
     """
     T = len(x)
     if T < 2:
@@ -309,11 +302,7 @@ def hmm_segment(
         raise ValueError(f"K must be in [2, {T}], got {K}")
     if not 0.0 < p < 1.0:
         raise ValueError("p must lie strictly between 0 and 1")
-    if model == "means":
-        order = 0
-    elif model != "ar":
-        raise ValueError(f"unsupported model {model!r} (use 'means' or 'ar')")
     sigma = max(global_sigma(x), SIGMA_FLOOR)
-    fitter = _LsqModel(x, K, order)
-    trace = _run_em(fitter, K, p, sigma, _binary_split_states(x.values, K))
+    start = _binary_split_states(x.values, K)
+    trace = _run_em(x.values, K, p, sigma, start, model, order)
     return trace.final.segmentation, trace

@@ -11,7 +11,11 @@ implemented, and they stop in opposite senses:
 * regression models (ar, poly): a residual whiteness check based on the
   lag-1 autocorrelation of the pooled prediction errors.  Residuals that
   are not white call for more segments; the first order whose residuals
-  are white is chosen.
+  are white is chosen.  The residuals are those of the one per-segment
+  least-squares fit, :func:`~tsseg.costs._segment_fits`.
+
+Either segmenter, the HMM or the exact dynamic program, runs with any of
+the three cost models.
 
 Note that the contrast test is applied to a segmentation that was itself
 chosen to maximize separation, so on structureless noise it rejects far
@@ -28,7 +32,7 @@ from statistics import NormalDist
 import numpy as np
 
 from .core import Segmentation, TimeSeries, segment_stats
-from .costs import _group_fit, build_cost_matrix, lag_matrix
+from .costs import _segment_fits, build_cost_matrix
 from .dp import dp_segment
 from .hmm import hmm_segment
 
@@ -273,46 +277,13 @@ class SelectionReport:
     chosen_order: int
 
 
-def _segment_fits(
-    x: TimeSeries, t: Segmentation, cost_model: str, order: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Least-squares fit of the model on each segment of ``t``, by the cost
-    kernel's solve.
-
-    Returns the fitted value at every index, a mask of the indices the fits
-    are charged on, and the coefficients of each segment (one row each).
-    Means is the design [1], and ``order`` is ignored for it.  An AR fit
-    leaves out the first ``order`` observations of the series, whose lags
-    are clamped, exactly as the DP cost tables do (:func:`ar_cost_exact`);
-    its fitted values there are only for display.  A polynomial is fitted
-    in the within-segment offset 1..n, as in :func:`poly_cost`.
-    """
-    T = len(x)
-    charged = np.ones(T, dtype=bool)
-    segment = np.repeat(np.arange(t.order), np.diff(t.change_points))
-    if cost_model in ("means", "ar"):
-        lags = order if cost_model == "ar" else 0
-        design = lag_matrix(x.values, lags)
-        charged[:lags] = False
-    elif cost_model == "poly":
-        offset = np.arange(1.0, T + 1.0) - np.asarray(t.change_points[:-1])[segment]
-        design = np.vander(offset, order + 1, increasing=True)
-    else:
-        raise ValueError(f"no residual model for {cost_model!r}")
-    coefs = _group_fit(
-        design[charged], x.values[charged], segment[charged], t.order
-    )
-    fitted = np.einsum("ij,ij->i", design, coefs[segment])
-    return fitted, charged, coefs
-
-
 def _segment_residuals(
     x: TimeSeries, t: Segmentation, cost_model: str, order: int
 ) -> np.ndarray:
     """Pooled prediction errors of the per-segment model fits, over the
-    indices the fits are charged on (see :func:`_segment_fits`)."""
-    fitted, charged, _ = _segment_fits(x, t, cost_model, order)
-    return (x.values - fitted)[charged]
+    indices the fits are charged on (see :func:`~tsseg.costs._segment_fits`)."""
+    fitted, first, _ = _segment_fits(x.values, t.change_points, cost_model, order)
+    return (x.values - fitted)[first:]
 
 
 def select_order(
@@ -350,11 +321,6 @@ def select_order(
         raise ValueError("k_max must be at least 2")
     if algorithm not in ("hmm", "dp"):
         raise ValueError(f"unknown algorithm {algorithm!r}")
-    if algorithm == "hmm" and cost_model == "poly":
-        raise ValueError(
-            "cost model 'poly' is only available with the dp algorithm "
-            "(the HMM has no polynomial emission model)"
-        )
 
     dp_results = None
     if algorithm == "dp":

@@ -8,6 +8,7 @@ from tsseg import (
     TimeSeries,
     build_cost_matrix,
     dp_segment,
+    poly_cost,
     segmentation_cost,
 )
 from tsseg.cli import main
@@ -87,7 +88,7 @@ def test_exit_0_on_success(tmp_path, capsys):
     "args, message",
     [
         (["--K", "2", "--cost", "wavelet"], "bad cost model"),
-        (["--K", "2", "--algo", "hmm", "--cost", "poly(1)"], "only available with --algo dp"),
+        (["--K", "2", "--algo", "annealing"], "invalid choice: 'annealing'"),
         (["--algo", "dp"], "--K is required"),
         (["--algo", "hmm"], "--K is required"),
         # hard EM stops exactly, so there is no convergence tolerance to set
@@ -169,6 +170,23 @@ def test_report_keys_of_a_poly_dp_run(tmp_path):
     dp = dp_segment(build_cost_matrix(TimeSeries(values), "poly", order=1), 2)[1]
     assert report["result"]["change_points"] == list(dp.segmentation.change_points)
     assert report["result"]["cost"] == pytest.approx(dp.cost, rel=1e-9)
+
+
+def test_poly_hmm_report_cost_is_its_fit(tmp_path):
+    # the HMM takes every cost model the DP takes; its report fit and its
+    # own cost are the sum of the poly window costs of its segments
+    values = np.concatenate([np.linspace(0.0, 3.0, 30), np.linspace(5.0, 1.0, 30)])
+    values = values + 0.1 * np.random.default_rng(0).standard_normal(60)
+    report = segment(tmp_path, values, "--algo", "hmm", "--cost", "poly(1)", "--K", "2")
+    check_common_keys(
+        report, extra_top={"iterations"}, extra_result={"converged", "states_used"},
+        extra_segment={"coefficients"},
+    )
+    seg = Segmentation(tuple(report["result"]["change_points"]))
+    x = TimeSeries(values)
+    exact = sum(poly_cost(x, s, t, 1)[0] for s, t in seg.segments())
+    assert report["result"]["cost"] == pytest.approx(exact, rel=1e-9)
+    assert report["iterations"][-1]["cost"] == pytest.approx(exact, rel=1e-9)
 
 
 def test_report_keys_of_an_hmm_run(tmp_path):

@@ -9,12 +9,14 @@ from tsseg import (
     Segmentation,
     StateSequence,
     TimeSeries,
+    build_cost_matrix,
+    dp_segment,
     generate,
     hmm_segment,
     segmentation_cost,
     states_from_segmentation,
 )
-from tsseg.costs import ar_cost_exact
+from tsseg.costs import ar_cost_exact, poly_cost
 from tsseg.hmm import _decode
 
 
@@ -474,21 +476,39 @@ class TestHmmSegment:
         )
         assert trace.final.cost == pytest.approx(exact, rel=1e-6)
 
+    @pytest.mark.parametrize("degree", [1, 2, 3])
+    def test_poly_cost_is_the_dp_objective(self, degree):
+        # each state's polynomial is refit in its own block's offset, so the
+        # final cost is the sum of the exact window costs of its segments
+        rng = np.random.default_rng(40 + degree)
+        u = np.arange(70.0) / 70.0
+        x = TimeSeries(np.concatenate([
+            2.0 + 3.0 * u - 4.0 * u**2,
+            -1.0 + 5.0 * u**3,
+            1.5 - 2.0 * u,
+        ]) + 0.1 * rng.standard_normal(210))
+        seg, trace = hmm_segment(x, 3, 0.9, model="poly", order=degree)
+        assert trace.final.params.shape == (3, degree + 1)
+        assert min(t - s + 1 for s, t in seg.segments()) > degree + 1
+        exact = sum(poly_cost(x, s, t, degree)[0] for s, t in seg.segments())
+        assert trace.final.cost == pytest.approx(exact, rel=1e-9)
+
 
 @pytest.fixture(scope="module")
 def em_runs():
-    """Means and ar(1) runs at K = 2..8 on 48 generated series (T about 50,
-    sigma 0 to 2), collapsed runs and paths that start in state 2 included."""
+    """Means, ar(1), poly(1) and poly(2) runs at K = 2..8 on 48 generated
+    series (T about 50, sigma 0 to 2), collapsed runs and paths that start in
+    state 2 included."""
     runs = []
     for seed in range(48):
         sigma = (0.0, 0.5, 1.0, 2.0)[seed % 4]
         x, _ = generate(GenSpec(K=5, p=0.9, sigma=sigma, seed=seed))
         for K in range(2, min(8, len(x)) + 1):
-            for model in ("means", "ar"):
-                _, trace = hmm_segment(x, K, 0.9, model=model, order=1)
-                runs.append((x, K, model, trace))
-    assert any(trace.collapsed for *_, model, trace in runs if model == "means")
-    assert any(trace.collapsed for *_, model, trace in runs if model == "ar")
+            for model, order in (("means", 0), ("ar", 1), ("poly", 1), ("poly", 2)):
+                _, trace = hmm_segment(x, K, 0.9, model=model, order=order)
+                runs.append((x, K, (model, order), trace))
+    for model in (("means", 0), ("ar", 1)):
+        assert any(trace.collapsed for *_, m, trace in runs if m == model)
     return runs
 
 
@@ -512,7 +532,7 @@ class TestExactStop:
     def test_final_log_likelihood_is_the_joint_likelihood(self, em_runs):
         starts_in_state_2 = 0
         for x, K, model, trace in em_runs:
-            if model != "means":
+            if model != ("means", 0):
                 continue
             final = trace.final
             params = HmmParams(K, 0.9, final.params[:, 0], trace.sigma)
@@ -520,3 +540,23 @@ class TestExactStop:
             assert nll == pytest.approx(-final.log_likelihood, rel=1e-12)
             starts_in_state_2 += int(trace.final_states.states[0] == 2)
         assert starts_in_state_2 > 0
+
+    def test_never_below_the_dp_optimum(self, em_runs):
+        # A path whose segments the DP admits is one of the segmentations the
+        # DP minimizes over, so its cost cannot be below the DP's optimum at
+        # the same order (K, or fewer for a collapsed run).
+        compared = 0
+        tables = {}
+        for x, K, (model, order), trace in em_runs:
+            key = (id(x), model, order)
+            if key not in tables:
+                tables[key] = build_cost_matrix(x, model, order=order)
+            table = tables[key]
+            seg = trace.final.segmentation
+            if any(table.is_flagged(s, t) for s, t in seg.segments()):
+                continue
+            optimum = dp_segment(table, seg.order)[-1].cost
+            total = float(np.sum((x.values - x.values.mean()) ** 2))
+            assert trace.final.cost >= optimum - 1e-9 * total
+            compared += 1
+        assert compared >= len(em_runs) // 2

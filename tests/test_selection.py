@@ -7,6 +7,7 @@ from tsseg import (
     Segmentation,
     TimeSeries,
     f_quantile,
+    poly_cost,
     residual_whiteness,
     scheffe_significant,
     select_order,
@@ -175,10 +176,20 @@ class TestSelectOrder:
             not math.isnan(r.statistic) for r in report.records
         )
 
-    def test_poly_requires_dp(self):
-        x = self.make_three_levels()
-        with pytest.raises(ValueError):
-            select_order(x, "hmm", "poly", order=1)
+    def test_poly_runs_under_the_hmm(self):
+        # three linear regimes: the HMM fits a line per state, and each
+        # attempt's cost is the sum of the poly window costs of its segments
+        rng = np.random.default_rng(5)
+        t = np.arange(60.0)
+        x = TimeSeries(np.concatenate(
+            [0.05 * t, 6.0 - 0.05 * t, 1.0 + 0.1 * t]
+        ) + 0.2 * rng.standard_normal(180))
+        report = select_order(x, "hmm", "poly", order=1, k_max=5)
+        assert report.chosen_order == 3
+        for r in report.records:
+            segments = r.segmentation.segments()
+            exact = sum(poly_cost(x, a, b, 1)[0] for a, b in segments)
+            assert r.cost == pytest.approx(exact, rel=1e-9)
 
     def test_unknown_algorithm(self):
         with pytest.raises(ValueError):
@@ -197,3 +208,16 @@ def test_segment_fits_reach_the_dp_objective_far_from_zero(model):
     res = dp_segment(build_cost_matrix(x, model, order=2), 3)[2]
     r = _segment_residuals(x, res.segmentation, model, 2)
     assert float(r @ r) == pytest.approx(res.cost, rel=1e-9)
+
+
+def test_segment_fits_centre_each_segment_on_its_own_rows():
+    # centred on the whole series, the cubic's columns on a 6-point segment
+    # are nearly constant and the solve falls back to the pseudo-inverse,
+    # whose fit misses the least-squares minimum
+    from tsseg.selection import _segment_residuals
+
+    x = TimeSeries(np.random.default_rng(0).standard_normal(240))
+    seg = Segmentation((0, 6, 240))
+    r = _segment_residuals(x, seg, "poly", 3)
+    exact = sum(poly_cost(x, s, t, 3)[0] for s, t in seg.segments())
+    assert float(r @ r) == pytest.approx(exact, rel=1e-9)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from tsseg import Segmentation, TimeSeries, segment_stats
-from tsseg.selection import _segment_fits
+from tsseg.costs import _segment_fits
 from tsseg.svg import segmentation_svg
 
 
@@ -51,7 +51,7 @@ def test_polylines_match_the_per_point_rendering(model, labelled):
             [np.full(s.length, s.mean) for s in segment_stats(x, seg)]
         )
     else:
-        fitted, _, _ = _segment_fits(x, seg, "ar", 2)
+        fitted, _, _ = _segment_fits(x.values, seg.change_points, "ar", 2)
         reference = fitted
     svg = segmentation_svg(x, seg, fitted=fitted, title="t")
     drawn = re.findall(r'<polyline points="([^"]*)"', svg)
