@@ -66,29 +66,17 @@ def _parse_cost_model(text: str) -> tuple[str, int]:
     return tag, (int(order) if order is not None else (3 if tag == "ar" else 1))
 
 
-def ingest_csv(
-    path: str, value_column: int = 1, label_column: int | None = None
-) -> TimeSeries:
-    """Read a comma- or tab-separated series; columns are 1-based.
-
-    A single leading row whose selected cells do not parse as numbers is
-    treated as a header and skipped.  Any other non-numeric cell is a data
-    error reported with its line number.
-    """
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            raw_lines = fh.readlines()
-    except OSError as exc:
-        raise DataError(f"cannot read {path}: {exc}") from exc
+def _parse_rows(
+    path: str, raw_lines: list[str], delimiter: str, value_column: int,
+    label_column: int | None,
+) -> tuple[list[float], list[int]]:
+    """Row-by-row parse of :func:`ingest_csv`: skips a header row and names
+    the line of a bad cell."""
     rows = [
         (lineno, line.rstrip("\n"))
         for lineno, line in enumerate(raw_lines, start=1)
         if line.strip()
     ]
-    if not rows:
-        raise DataError(f"{path}: no data rows")
-    delimiter = "\t" if "\t" in rows[0][1] else ","
-
     values: list[float] = []
     labels: list[int] = []
     for pos, (lineno, line) in enumerate(rows):
@@ -112,6 +100,44 @@ def ingest_csv(
         values.append(value)
         if label is not None:
             labels.append(int(label))
+    return values, labels
+
+
+def ingest_csv(
+    path: str, value_column: int = 1, label_column: int | None = None
+) -> TimeSeries:
+    """Read a comma- or tab-separated series; columns are 1-based.
+
+    A single leading row whose selected cells do not parse as numbers is
+    treated as a header and skipped.  Any other non-numeric cell is a data
+    error reported with its line number.
+    """
+    for name, column in (("value", value_column), ("label", label_column)):
+        if column is not None and column < 1:
+            raise UsageError(f"--{name}-col must be at least 1, got {column}")
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            raw_lines = fh.readlines()
+    except OSError as exc:
+        raise DataError(f"cannot read {path}: {exc}") from exc
+    lines = [line for line in raw_lines if line.strip()]
+    if not lines:
+        raise DataError(f"{path}: no data rows")
+    delimiter = "\t" if "\t" in lines[0] else ","
+
+    # float() ignores the whitespace around a cell, so the cells need no strip
+    split = [line.split(delimiter) for line in lines]
+    try:
+        values = [float(cells[value_column - 1]) for cells in split]
+        labels = (
+            [int(float(cells[label_column - 1])) for cells in split]
+            if label_column else []
+        )
+    except (ValueError, IndexError):
+        # a header row or a bad line: the row-by-row parse skips or names it
+        values, labels = _parse_rows(
+            path, raw_lines, delimiter, value_column, label_column
+        )
     if not values:
         raise DataError(f"{path}: no numeric rows")
     try:

@@ -56,6 +56,7 @@ _RCOND = 1e-8
 #: Size of a block of the table fill, in windows (window ends times ages)
 #: times regressors: large enough that every numpy operation covers many
 #: windows, small enough that the solve's working arrays stay in cache.
+#: The DP fill (:func:`tsseg.dp._run_dp`) takes blocks of ``_CELLS // T`` ends.
 _CELLS = 1 << 16
 
 
@@ -416,6 +417,20 @@ def _cumsum_by_age(padded: np.ndarray, t0: int, t1: int) -> np.ndarray:
     return np.moveaxis(np.cumsum(view, axis=-1, out=np.empty(view.shape)), -1, 1)
 
 
+def _gram_by_age(padded_lower: np.ndarray, d: int, t0: int, t1: int) -> np.ndarray:
+    """:func:`_cumsum_by_age` of the products u_i u_j of a symmetric d x d
+    matrix, of which :func:`_reversed_padded` holds only the lower triangle,
+    in the order of ``np.tril_indices(d)``.  Each entry is summed once and
+    copied to (j, i), which the solve's fallback reads."""
+    view = _by_age(padded_lower, t0, t1)
+    gram = np.empty((view.shape[0], d, d, t1))
+    for k, (i, j) in enumerate(zip(*np.tril_indices(d))):
+        np.cumsum(view[:, k], axis=-1, out=gram[:, i, j])
+        if i != j:
+            gram[:, j, i] = gram[:, i, j]
+    return np.moveaxis(gram, -1, 1)
+
+
 def _store_by_start(by_end: np.ndarray, cost: np.ndarray, t0: int) -> None:
     """Writes a block's costs into the table by window start.
 
@@ -461,8 +476,10 @@ def build_cost_matrix(
     padded_wx = _reversed_padded(wx)
     padded_wxx = _reversed_padded(wx * xc)
     if model == "ar":
+        # the Gram matrix is symmetric, so only its lower triangle is summed
         u = design.T
-        padded_outer = _reversed_padded(u[:, None, :] * u[None, :, :] * weight)
+        lower = np.tril_indices(d)
+        padded_lower = _reversed_padded(u[lower[0]] * u[lower[1]] * weight)
         padded_rhs = _reversed_padded(u * wx)
     elif d > 1:
         by_length = np.cumsum(design[:, :, None] * design[:, None, :], axis=0)
@@ -484,7 +501,7 @@ def build_cost_matrix(
             cost -= b
         else:
             if model == "ar":
-                gram = _cumsum_by_age(padded_outer, t0, t1)[:, d:]
+                gram = _gram_by_age(padded_lower, d, t0, t1)[:, d:]
                 rhs = _cumsum_by_age(padded_rhs, t0, t1)[:, d:]
                 # the windows past the series start and the ends without
                 # an identified window get the system I c = 0, which the

@@ -13,8 +13,12 @@ states: s <= t - min_len, at the ends t >= first_end (see
 :class:`~tsseg.costs.CostMatrix`: the table's under-determined windows are
 exactly those shorter than its default minimum segment length or ending
 before its ``first_end``).  So the fill reads a prefix of each row of the
-table, with no mask.  The minimization phase is O(K T^2); the fill is
-vectorized over k, so each t takes one 2-D argmin over all orders at once.
+table, with no mask.  The minimization phase is O(K T^2).  Order 1 has the
+single candidate s = 0 and is one vector add.  The other orders are filled
+a block of consecutive ends at a time, order by order within the block
+(c[k-1, .] is complete up to the block's last end before order k reads
+it): each order is one add of c[k-1, .] to the block's rows of the table,
+with the bound as a triangle of +inf, and one argmin along the rows.
 """
 
 from __future__ import annotations
@@ -24,6 +28,7 @@ from itertools import combinations
 
 import numpy as np
 
+from . import costs as _costs
 from .core import Segmentation
 from .costs import CostMatrix
 
@@ -55,14 +60,29 @@ def _run_dp(
     c = np.full((k_max + 1, T + 1), np.inf)
     c[0, 0] = 0.0
     back = np.zeros((k_max + 1, T + 1), dtype=np.int64)
-    orders = np.arange(k_max)
-    for t in range(max(first_end, min_len), T + 1):
-        hi = t - min_len  # largest admissible previous change point
-        # row k-1 holds the candidates of order k, so one argmin fills every order
-        cand = c[:k_max, : hi + 1] + by_end[t - 1, : hi + 1]
-        j = np.argmin(cand, axis=1)  # ties resolve to the earliest change point
-        c[1:, t] = cand[orders, j]
-        back[1:, t] = j
+    start = max(first_end, min_len)  # first end with an admissible window
+    if start > T:
+        return c, back
+    # order 1 has the single candidate s = 0
+    c[1, start:] = c[0, 0] + by_end[start - 1 :, 0]
+    B = min(max(1, _costs._CELLS // T), T)
+    # In a block of ends t0..t1, the row of end t reads s up to t1 - min_len;
+    # the columns past its own bound t - min_len are the last t1 - t of them.
+    beyond = np.triu(np.ones((B, B), dtype=bool), 1)
+    buf = np.empty(B * T)
+    for t0 in range(start, T + 1, B):
+        t1 = min(t0 + B - 1, T)
+        nb, n = t1 - t0 + 1, t1 - min_len + 1
+        rows = buf[: nb * n].reshape(nb, n)
+        picked = np.arange(nb)
+        # order k reads c[k-1, s] for s < t1 only, which the previous
+        # order has filled for this block already
+        for k in range(2, k_max + 1):
+            np.add(by_end[t0 - 1 : t1, :n], c[k - 1, :n], out=rows)
+            np.copyto(rows[:, n - nb :], np.inf, where=beyond[:nb, :nb])
+            j = np.argmin(rows, axis=1)  # ties resolve to the earliest change point
+            c[k, t0 : t1 + 1] = rows[picked, j]
+            back[k, t0 : t1 + 1] = j
     return c, back
 
 

@@ -11,7 +11,7 @@ from tsseg import (
     poly_cost,
     segmentation_cost,
 )
-from tsseg.cli import main
+from tsseg.cli import _parse_rows, ingest_csv, main
 
 
 def ar1_series(seed, levels, n=120, phi=0.6, noise=0.3):
@@ -94,6 +94,10 @@ def test_exit_0_on_success(tmp_path, capsys):
         # hard EM stops exactly, so there is no convergence tolerance to set
         (["--K", "2", "--epsilon", "1e-6"], "unrecognized arguments: --epsilon"),
         (["--algo", "dp", "--K", "2", "--min-seg-len", "0"], "at least 1"),
+        # columns are 1-based: 0 and -1 would index from the end of a row
+        (["--K", "2", "--value-col", "0"], "--value-col must be at least 1"),
+        (["--K", "2", "--value-col", "-1"], "--value-col must be at least 1"),
+        (["--K", "2", "--label-col", "0"], "--label-col must be at least 1"),
     ],
 )
 def test_exit_1_on_usage_errors(tmp_path, capsys, args, message):
@@ -111,6 +115,57 @@ def test_exit_2_on_non_numeric_cell_names_its_line(tmp_path, capsys):
     assert run(tmp_path, "1.0\n2.0\n\n3.0\noops\n4.0\n", "--K", "2") == 2
     err = capsys.readouterr().err
     assert err.startswith("data error:") and "series.csv:5:" in err and "'oops'" in err
+
+
+#: (file text, delimiter, value column, label column, has a header row)
+INGEST_FILES = {
+    "repr floats": (
+        "".join(f"{float(v)!r}\n" for v in np.random.default_rng(7).normal(0, 1e3, 60)),
+        ",", 1, None, False,
+    ),
+    "whitespace": ("  1.5 \n\t2.25\n3e-3  \x0c\n -4 \n", ",", 1, None, False),
+    "crlf": ("1.0\r\n2.5\r\n-3.75\r\n", ",", 1, None, False),
+    "blank lines": ("\n1.0\n\n  \n2.0\n\n\n3.0", ",", 1, None, False),
+    "header": ("year,flow\n1990,0.5\n1991,1.5\n1992,-2.5\n", ",", 2, 1, True),
+    "tsv": ("1\t10.5\t7\n2\t11.25\t8\n3\t9.0\t9\n", "\t", 2, 3, False),
+    "labels": ("1990, 0.5\r\n1991 ,1.5\r\n\r\n1992,2.5\r\n", ",", 2, 1, False),
+}
+
+
+@pytest.mark.parametrize("name", list(INGEST_FILES))
+def test_ingest_matches_the_row_by_row_parse(tmp_path, monkeypatch, name):
+    text, delimiter, value_col, label_col, header = INGEST_FILES[name]
+    path = tmp_path / "series.csv"
+    path.write_bytes(text.encode())
+    with open(path, encoding="utf-8") as fh:
+        raw_lines = fh.readlines()
+    values, labels = _parse_rows(str(path), raw_lines, delimiter, value_col, label_col)
+    if not header:  # the one-pass parse reads the file on its own
+        def no_fallback(*args):
+            raise AssertionError("the row-by-row parse ran")
+        monkeypatch.setattr("tsseg.cli._parse_rows", no_fallback)
+    x = ingest_csv(str(path), value_col, label_col)
+    assert x.values.tobytes() == np.array(values).tobytes()
+    if label_col is None:
+        assert x.labels is None
+    else:
+        assert x.labels.tobytes() == np.array(labels).tobytes()
+
+
+@pytest.mark.parametrize(
+    "text, label_col, message",
+    [
+        ("flow\n1.0\r\n2.0\r\n 1e \r\n", None, "series.csv:4: non-numeric cell '1e'"),
+        ("1.0,1990\n2.0\n", 2, "series.csv:2: expected at least 2 columns, found 1"),
+    ],
+)
+def test_ingest_names_the_line_of_a_bad_cell(tmp_path, text, label_col, message):
+    from tsseg.cli import DataError
+
+    path = tmp_path / "series.csv"
+    path.write_bytes(text.encode())
+    with pytest.raises(DataError, match=message):
+        ingest_csv(str(path), 1, label_col)
 
 
 def test_exit_3_on_singular_window(tmp_path, capsys, monkeypatch):

@@ -201,6 +201,24 @@ def test_is_flagged_is_the_stored_mask(model):
                 assert cm.is_flagged(s, t) == mask[t - 1, s - 1]
 
 
+def reference_runs(cm, model, order):
+    """(_run_dp arguments, its per_order_dp answer) for the masked pass at
+    min_len 1, the default and the default + 2, and the permissive pass."""
+    T = cm.n
+    masked = columns(cm, stored_mask(T, model, order))
+    k_max = min(T, 8)
+    default = cm.default_min_segment_length
+    runs = [
+        # the masked pass: the bound on the previous change point stands
+        # for the mask over the reference's columns
+        ((cm.by_end, k_max, max(default, m), cm.first_end),
+         (masked, T, k_max, m))
+        for m in (1, default, default + 2)
+    ]
+    runs.append(((cm.by_end, k_max, 1, 1), (columns(cm), T, k_max, 1)))
+    return [(args, per_order_dp(*ref_args)) for args, ref_args in runs]
+
+
 @pytest.mark.parametrize("model", list(MODELS))
 def test_fill_is_bit_identical_to_per_order_reference(model):
     model, order = MODELS[model]
@@ -210,22 +228,30 @@ def test_fill_is_bit_identical_to_per_order_reference(model):
         # a coarse grid of values makes tied candidates common
         x = TimeSeries(np.round(rng.normal(0.0, 2.0, T)))
         cm = build_cost_matrix(x, model, order=order)
-        masked = columns(cm, stored_mask(T, model, order))
-        k_max = min(T, 8)
-        default = cm.default_min_segment_length
-        runs = [
-            # the masked pass: the bound on the previous change point stands
-            # for the mask over the reference's columns
-            ((cm.by_end, k_max, max(default, m), cm.first_end),
-             (masked, T, k_max, m))
-            for m in (1, default, default + 2)
-        ]
-        runs.append(((cm.by_end, k_max, 1, 1), (columns(cm), T, k_max, 1)))
-        for args, ref_args in runs:
+        for args, (ref_c, ref_back) in reference_runs(cm, model, order):
             c, back = _run_dp(*args)
-            ref_c, ref_back = per_order_dp(*ref_args)
             assert np.array_equal(c, ref_c)
             assert np.array_equal(back, ref_back)
+
+
+@pytest.mark.parametrize("model", list(MODELS))
+def test_block_fill_is_bit_identical_across_block_edges(model, monkeypatch):
+    # the fill takes _CELLS // T window ends at a time, at most T
+    from tsseg import costs
+
+    model, order = MODELS[model]
+    rng = np.random.default_rng(505)
+    for T in (23, 30):
+        x = TimeSeries(np.round(rng.normal(0.0, 2.0, T)))
+        cm = build_cost_matrix(x, model, order=order)
+        runs = reference_runs(cm, model, order)
+        # 7 divides neither length, and the last two are one block
+        for block in (1, 2, 3, 7, T, 2 * T):
+            monkeypatch.setattr(costs, "_CELLS", block * T)
+            for args, (ref_c, ref_back) in runs:
+                c, back = _run_dp(*args)
+                assert np.array_equal(c, ref_c), block
+                assert np.array_equal(back, ref_back), block
 
 
 def test_min_segment_length_below_one_is_rejected():
