@@ -17,13 +17,10 @@ from .core import (
     SIGMA_FLOOR,
     SegmentStats,
     Segmentation,
-    StateSequence,
     TimeSeries,
     global_sigma,
     segment_stats,
     segmentation_cost,
-    segmentation_from_states,
-    states_from_segmentation,
 )
 from .costs import (
     CostMatrix,
@@ -68,9 +65,6 @@ __all__ = [
     "TimeSeries",
     "Segmentation",
     "SegmentStats",
-    "StateSequence",
-    "segmentation_from_states",
-    "states_from_segmentation",
     "segment_stats",
     "segmentation_cost",
     "global_sigma",

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import re
 import sys
 import time
@@ -87,19 +88,22 @@ def _parse_rows(
                 f"{path}:{lineno}: expected at least {max(wanted)} columns, "
                 f"found {len(cells)}"
             )
+        numbers = []
         try:
-            value = float(cells[value_column - 1])
-            label = float(cells[label_column - 1]) if label_column else None
+            for column in wanted:
+                cell = cells[column - 1]
+                numbers.append(float(cell))
         except ValueError:
             if pos == 0:
                 continue  # header row
-            raise DataError(
-                f"{path}:{lineno}: non-numeric cell "
-                f"{cells[value_column - 1]!r}"
-            ) from None
-        values.append(value)
-        if label is not None:
-            labels.append(int(label))
+            raise DataError(f"{path}:{lineno}: non-numeric cell {cell!r}") from None
+        values.append(numbers[0])
+        if label_column:
+            if not math.isfinite(numbers[1]):
+                raise DataError(
+                    f"{path}:{lineno}: non-finite label {cells[label_column - 1]!r}"
+                )
+            labels.append(int(numbers[1]))
     return values, labels
 
 
@@ -133,7 +137,7 @@ def ingest_csv(
             [int(float(cells[label_column - 1])) for cells in split]
             if label_column else []
         )
-    except (ValueError, IndexError):
+    except (ValueError, IndexError, OverflowError):
         # a header row or a bad line: the row-by-row parse skips or names it
         values, labels = _parse_rows(
             path, raw_lines, delimiter, value_column, label_column
@@ -196,7 +200,7 @@ def _trace_payload(trace: EmTrace) -> list[dict]:
             "iteration": r.iteration,
             "log_likelihood": r.log_likelihood,
             "cost": r.cost,
-            "states_used": r.states_used,
+            "states_used": r.segmentation.order,
             "change_points": list(r.segmentation.change_points),
         }
         for r in trace.records
@@ -310,7 +314,7 @@ def cmd_segment(args: argparse.Namespace) -> int:
     if trace is not None:
         report["iterations"] = _trace_payload(trace)
         report["result"]["converged"] = trace.converged
-        report["result"]["states_used"] = trace.final.states_used
+        report["result"]["states_used"] = trace.final.segmentation.order
     if selection is not None:
         report["selection"] = _selection_payload(selection)
 

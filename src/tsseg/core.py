@@ -6,9 +6,9 @@ segmentation of order K is a sequence of change points
 
     0 = t_0 < t_1 < ... < t_K = T
 
-where segment k covers the indices [t_{k-1}+1, t_k].  State sequences map
-one-to-one onto segmentations: segment k is the stretch where the state
-sequence takes its k-th distinct value.
+where segment k covers the indices [t_{k-1}+1, t_k].  A path of a K-state
+left-to-right chain is its K+1 state boundaries 0 = b_0 <= ... <= b_K = T,
+0-based state k covering [b_k, b_{k+1}); an empty state repeats a boundary.
 """
 
 from __future__ import annotations
@@ -18,12 +18,10 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
+    "SIGMA_FLOOR",
     "TimeSeries",
     "Segmentation",
     "SegmentStats",
-    "StateSequence",
-    "segmentation_from_states",
-    "states_from_segmentation",
     "segment_stats",
     "segmentation_cost",
     "global_sigma",
@@ -107,42 +105,6 @@ class SegmentStats:
     mean: float
     deviation: float
     length: int
-
-
-@dataclass(frozen=True)
-class StateSequence:
-    """A nondecreasing sequence of positive integer states z_1..z_T."""
-
-    states: np.ndarray
-
-    def __post_init__(self) -> None:
-        states = np.asarray(self.states, dtype=np.int64).reshape(-1)
-        if states.size < 1:
-            raise ValueError("state sequence must be nonempty")
-        if states.min() < 1:
-            raise ValueError("states must be >= 1")
-        if np.any(np.diff(states) < 0):
-            raise ValueError("state sequence must be nondecreasing")
-        object.__setattr__(self, "states", _freeze(states))
-
-    def __len__(self) -> int:
-        return int(self.states.size)
-
-
-def segmentation_from_states(z: StateSequence) -> Segmentation:
-    """Change points of ``z``: every index where the state value switches.
-
-    The order of the result equals the number of distinct states in ``z``.
-    """
-    s = z.states
-    switches = np.nonzero(s[1:] != s[:-1])[0] + 1
-    return Segmentation((0, *switches.tolist(), len(s)))
-
-
-def states_from_segmentation(t: Segmentation) -> StateSequence:
-    """Inverse of :func:`segmentation_from_states`: segment k gets state k."""
-    lengths = np.diff(t.change_points)
-    return StateSequence(np.repeat(np.arange(1, t.order + 1), lengths))
 
 
 def _check_compatible(x: TimeSeries, t: Segmentation) -> None:

@@ -46,7 +46,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import SIGMA_FLOOR, Segmentation, StateSequence, TimeSeries, global_sigma
+from .core import SIGMA_FLOOR, Segmentation, TimeSeries, global_sigma
 from .costs import _design, _segment_fits
 
 __all__ = ["EmIteration", "EmTrace", "hmm_segment"]
@@ -125,25 +125,26 @@ def _decode(log_emissions: np.ndarray, p: float) -> tuple[np.ndarray, float]:
 
 @dataclass(frozen=True)
 class EmIteration:
-    """One iterate: the decoded path paired with parameters refit to it."""
+    """One iterate: the decoded path, as its K+1 state boundaries (a state it
+    skips is empty), paired with parameters refit to it."""
 
     iteration: int
     params: np.ndarray       # (K, order+1) coefficients; order 0 is the means;
                              # poly rows are in each state's block offset 1..n
-    segmentation: Segmentation
+    bounds: np.ndarray       # (K+1,) state boundaries 0 = b_0 <= ... <= b_K = T
+    segmentation: Segmentation  # the distinct bounds; order = states used
     log_likelihood: float    # joint log-likelihood of (path, refit params)
     cost: float              # total squared deviation / prediction error
-    states_used: int
 
 
 @dataclass(frozen=True)
 class EmTrace:
+    """Every iterate of one hard-EM run; record 0 is the initial path."""
+
     records: tuple[EmIteration, ...]
-    final_states: StateSequence
     sigma: float
     converged: bool
-    in_phi_k: bool           # every iterate kept all K states
-    collapsed: bool          # final iterate used fewer than K states
+    collapsed: bool          # the final path uses fewer than K states
 
     @property
     def iterations(self) -> int:
@@ -236,14 +237,13 @@ def _run_em(
         loglik = -(
             -(stays * log_stay + moves * log_move) + cost / (2.0 * sigma**2)
         )
-        segmentation = Segmentation(tuple(np.unique(bounds)))
         return EmIteration(
             iteration=i,
             params=params,
-            segmentation=segmentation,
+            bounds=bounds,
+            segmentation=Segmentation(tuple(np.unique(bounds))),
             log_likelihood=loglik,
             cost=cost,
-            states_used=segmentation.order,
         )
 
     params, origins, cost = refit(bounds, None, None)
@@ -258,13 +258,9 @@ def _run_em(
             break
     return EmTrace(
         records=tuple(records),
-        final_states=StateSequence(
-            np.repeat(np.arange(1, K + 1), np.diff(bounds))
-        ),
         sigma=sigma,
         converged=converged,
-        in_phi_k=all(r.states_used == K for r in records),
-        collapsed=records[-1].states_used < K,
+        collapsed=records[-1].segmentation.order < K,
     )
 
 

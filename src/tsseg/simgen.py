@@ -10,11 +10,11 @@ a target length is translated into p.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .core import StateSequence, TimeSeries, states_from_segmentation
+from .core import Segmentation, TimeSeries
 from .costs import build_cost_matrix
 from .dp import dp_segment
 from .hmm import hmm_segment
@@ -53,8 +53,8 @@ class GenSpec:
             raise ValueError("sigma must be nonnegative")
 
 
-def generate(spec: GenSpec) -> tuple[TimeSeries, StateSequence]:
-    """Draw one (series, true state path) pair.
+def generate(spec: GenSpec) -> tuple[TimeSeries, Segmentation]:
+    """Draw one (series, true segmentation) pair.
 
     All K state durations are i.i.d. geometric (support 1, 2, ...) with
     success probability 1-p, so the path always contains exactly K
@@ -62,10 +62,9 @@ def generate(spec: GenSpec) -> tuple[TimeSeries, StateSequence]:
     """
     rng = np.random.Generator(np.random.PCG64(spec.seed))
     durations = rng.geometric(1.0 - spec.p, size=spec.K)
-    states = np.repeat(np.arange(1, spec.K + 1), durations)
-    means = np.asarray(spec.means)
-    values = means[states - 1] + spec.sigma * rng.standard_normal(states.size)
-    return TimeSeries(values), StateSequence(states)
+    levels = np.repeat(np.asarray(spec.means, dtype=np.float64), durations)
+    values = levels + spec.sigma * rng.standard_normal(levels.size)
+    return TimeSeries(values), Segmentation((0, *np.cumsum(durations).tolist()))
 
 
 def p_for_expected_length(T: float, K: int) -> float:
@@ -75,11 +74,14 @@ def p_for_expected_length(T: float, K: int) -> float:
     return 1.0 - K / T
 
 
-def accuracy(z: StateSequence, z_hat: StateSequence) -> float:
-    """Fraction of positions where the two state sequences agree."""
-    if len(z) != len(z_hat):
-        raise ValueError("state sequences must have the same length")
-    return float(np.mean(z.states == z_hat.states))
+def accuracy(bounds, bounds_hat) -> float:
+    """Share of time steps that two paths, each given by its state boundaries,
+    put in the same state.  States match by index, so empty ones count too."""
+    if bounds[-1] != bounds_hat[-1]:
+        raise ValueError("paths must cover the same length")
+    pairs = zip(bounds, bounds[1:], bounds_hat, bounds_hat[1:])
+    same = sum(max(0, min(b1, c1) - max(b0, c0)) for b0, b1, c0, c1 in pairs)
+    return float(same / bounds[-1])
 
 
 @dataclass(frozen=True)
@@ -141,23 +143,22 @@ def run_benchmark(
     algorithm: str = "hmm",
     seed: int = 0,
     *,
-    K: int = 5,
-    means: tuple[float, ...] = DEFAULT_MEANS,
-    segment_p: float = 0.9,
     clock=time.perf_counter,
 ) -> BenchTable:
     """Accuracy and runtime over a (target length x sigma) grid.
 
-    For every cell, ``replicates`` series are generated and segmented with
-    the true K (no order selection).  Timing covers the segmentation phase
-    only.  Replicate seeds are derived independently from (seed, cell,
-    replicate), so results do not depend on execution order; ``clock`` is
-    injectable so the aggregation itself can be tested deterministically.
+    For every cell, ``replicates`` series of the default :class:`GenSpec`
+    chain are segmented with its true K (no order selection), the HMM at
+    its default p.  Timing covers the segmentation phase only.  Replicate
+    seeds are derived independently from (seed, cell, replicate), so
+    results do not depend on execution order; ``clock`` is injectable so
+    the aggregation itself can be tested deterministically.
     """
     if replicates < 1:
         raise ValueError("replicates must be >= 1")
     if algorithm not in ("hmm", "dp"):
         raise ValueError(f"unknown algorithm {algorithm!r}")
+    K = GenSpec.K
     rows = []
     for ti, T in enumerate(lengths):
         gen_p = p_for_expected_length(float(T), K)
@@ -165,20 +166,18 @@ def run_benchmark(
             accs = np.empty(replicates)
             times = np.empty(replicates)
             for r in range(replicates):
-                x, z_true = generate(
-                    GenSpec(K=K, p=gen_p, means=means, sigma=float(sigma),
-                            seed=_derived_seed(seed, ti, si, r))
-                )
+                x, truth = generate(GenSpec(
+                    p=gen_p, sigma=float(sigma), seed=_derived_seed(seed, ti, si, r)
+                ))
                 start = clock()
                 if algorithm == "hmm":
-                    _, trace = hmm_segment(x, K, segment_p)
-                    z_hat = trace.final_states
+                    _, trace = hmm_segment(x, K)
+                    bounds = trace.final.bounds
                 else:
-                    matrix = build_cost_matrix(x)
-                    result = dp_segment(matrix, K)[K - 1]
-                    z_hat = states_from_segmentation(result.segmentation)
+                    result = dp_segment(build_cost_matrix(x), K)[K - 1]
+                    bounds = result.segmentation.change_points
                 elapsed = clock() - start
-                accs[r] = accuracy(z_true, z_hat)
+                accs[r] = accuracy(truth.change_points, bounds)
                 times[r] = 1000.0 * elapsed
             rows.append(
                 BenchRow(

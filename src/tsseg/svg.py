@@ -11,10 +11,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import Segmentation, TimeSeries, segment_stats
+from .core import Segmentation, TimeSeries
 
 __all__ = ["segmentation_svg"]
 
+_WIDTH, _HEIGHT = 900, 360
 _MARGIN_L, _MARGIN_R, _MARGIN_T, _MARGIN_B = 56, 16, 24, 36
 
 
@@ -32,26 +33,16 @@ def _points(xs: np.ndarray, ys: np.ndarray) -> str:
 
 
 def segmentation_svg(
-    x: TimeSeries,
-    t: Segmentation,
-    fitted: np.ndarray | None = None,
-    width: int = 900,
-    height: int = 360,
-    title: str | None = None,
+    x: TimeSeries, t: Segmentation, fitted: np.ndarray, title: str | None = None
 ) -> str:
     """Render the series with its segmentation as an SVG document.
 
-    ``fitted`` gives the model value at every index; by default the
-    segment means are used.
+    ``fitted`` gives the model value at every index.
     """
     values = x.values
     T = len(x)
     if t.length != T:
         raise ValueError("segmentation does not match the series length")
-    if fitted is None:
-        fitted = np.concatenate(
-            [np.full(s.length, s.mean) for s in segment_stats(x, t)]
-        )
     fitted = np.asarray(fitted, dtype=np.float64)
     ticks = x.labels if x.labels is not None else np.arange(1, T + 1)
 
@@ -62,8 +53,8 @@ def segmentation_svg(
     pad = 0.05 * (hi - lo)
     lo, hi = lo - pad, hi + pad
 
-    plot_w = width - _MARGIN_L - _MARGIN_R
-    plot_h = height - _MARGIN_T - _MARGIN_B
+    plot_w = _WIDTH - _MARGIN_L - _MARGIN_R
+    plot_h = _HEIGHT - _MARGIN_T - _MARGIN_B
 
     def sx(i):  # i is a 0-based index, or an array of them
         return _MARGIN_L + (plot_w * i / max(T - 1, 1))
@@ -72,15 +63,15 @@ def segmentation_svg(
         return _MARGIN_T + plot_h * (hi - v) / (hi - lo)
 
     out = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
-        f'height="{height}" viewBox="0 0 {width} {height}">',
-        f'<rect width="{width}" height="{height}" fill="white"/>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" '
+        f'height="{_HEIGHT}" viewBox="0 0 {_WIDTH} {_HEIGHT}">',
+        f'<rect width="{_WIDTH}" height="{_HEIGHT}" fill="white"/>',
         f'<rect x="{_MARGIN_L}" y="{_MARGIN_T}" width="{plot_w}" '
         f'height="{plot_h}" fill="none" stroke="#999"/>',
     ]
     if title:
         out.append(
-            f'<text x="{width // 2}" y="16" text-anchor="middle" '
+            f'<text x="{_WIDTH // 2}" y="16" text-anchor="middle" '
             f'font-family="sans-serif" font-size="13">{title}</text>'
         )
 
@@ -101,11 +92,11 @@ def segmentation_svg(
         xx = sx(cp - 1)
         label = int(ticks[cp - 1])
         out.append(
-            f'<line x1="{_fmt(xx)}" y1="{height - _MARGIN_B}" x2="{_fmt(xx)}" '
-            f'y2="{height - _MARGIN_B + 4}" stroke="#999"/>'
+            f'<line x1="{_fmt(xx)}" y1="{_HEIGHT - _MARGIN_B}" x2="{_fmt(xx)}" '
+            f'y2="{_HEIGHT - _MARGIN_B + 4}" stroke="#999"/>'
         )
         out.append(
-            f'<text x="{_fmt(xx)}" y="{height - _MARGIN_B + 16}" '
+            f'<text x="{_fmt(xx)}" y="{_HEIGHT - _MARGIN_B + 16}" '
             f'text-anchor="middle" font-family="sans-serif" font-size="11">'
             f"{label}</text>"
         )
@@ -115,7 +106,7 @@ def segmentation_svg(
         xx = sx(cp - 1)
         out.append(
             f'<line x1="{_fmt(xx)}" y1="{_MARGIN_T}" x2="{_fmt(xx)}" '
-            f'y2="{height - _MARGIN_B}" stroke="#bbb" stroke-dasharray="4 3"/>'
+            f'y2="{_HEIGHT - _MARGIN_B}" stroke="#bbb" stroke-dasharray="4 3"/>'
         )
 
     xs = sx(np.arange(T))

@@ -157,6 +157,9 @@ def test_ingest_matches_the_row_by_row_parse(tmp_path, monkeypatch, name):
     [
         ("flow\n1.0\r\n2.0\r\n 1e \r\n", None, "series.csv:4: non-numeric cell '1e'"),
         ("1.0,1990\n2.0\n", 2, "series.csv:2: expected at least 2 columns, found 1"),
+        ("1.0,1990\n2.0,oops\n", 2, "series.csv:2: non-numeric cell 'oops'"),
+        ("1.0,1990\n2.0,inf\n", 2, "series.csv:2: non-finite label 'inf'"),
+        ("1.0,1990\n2.0,nan\n", 2, "series.csv:2: non-finite label 'nan'"),
     ],
 )
 def test_ingest_names_the_line_of_a_bad_cell(tmp_path, text, label_col, message):
@@ -166,6 +169,12 @@ def test_ingest_names_the_line_of_a_bad_cell(tmp_path, text, label_col, message)
     path.write_bytes(text.encode())
     with pytest.raises(DataError, match=message):
         ingest_csv(str(path), 1, label_col)
+
+
+def test_exit_2_on_an_infinite_label_names_its_line(tmp_path, capsys):
+    assert run(tmp_path, "1.0,1990\n2.0,inf\n", "--K", "2", "--label-col", "2") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error:") and "series.csv:2:" in err and "'inf'" in err
 
 
 def test_exit_3_on_singular_window(tmp_path, capsys, monkeypatch):

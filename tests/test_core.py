@@ -7,13 +7,10 @@ from hypothesis import strategies as st
 
 from tsseg import (
     Segmentation,
-    StateSequence,
     TimeSeries,
     global_sigma,
     segment_stats,
     segmentation_cost,
-    segmentation_from_states,
-    states_from_segmentation,
 )
 
 
@@ -53,49 +50,6 @@ class TestSegmentation:
         assert t.order == 2
         assert t.length == 4
         assert t.segments() == [(1, 2), (3, 4)]
-
-
-class TestStateCorrespondence:
-    @pytest.mark.parametrize(
-        "states, expected, order",
-        [
-            ([1, 1, 2, 2], (0, 2, 4), 2),
-            ([1, 1, 1], (0, 3), 1),
-            ([1, 2, 2, 3, 3, 3], (0, 1, 3, 6), 3),
-        ],
-    )
-    def test_segmentation_from_states(self, states, expected, order):
-        seg = segmentation_from_states(StateSequence(states))
-        assert seg.change_points == expected
-        assert seg.order == order
-
-    @pytest.mark.parametrize(
-        "cps, expected",
-        [
-            ((0, 2, 4), [1, 1, 2, 2]),
-            ((0, 3), [1, 1, 1]),
-            ((0, 1, 3, 6), [1, 2, 2, 3, 3, 3]),
-        ],
-    )
-    def test_states_from_segmentation(self, cps, expected):
-        z = states_from_segmentation(Segmentation(cps))
-        assert z.states.tolist() == expected
-
-    def test_rejects_decreasing(self):
-        with pytest.raises(ValueError):
-            StateSequence([2, 1])
-
-    def test_rejects_out_of_range(self):
-        with pytest.raises(ValueError):
-            StateSequence([0, 1])
-
-    @given(
-        st.lists(st.integers(min_value=1, max_value=5), min_size=1, max_size=40)
-    )
-    def test_round_trip(self, raw):
-        z = StateSequence(sorted(raw))
-        seg = segmentation_from_states(z)
-        assert segmentation_from_states(states_from_segmentation(seg)) == seg
 
 
 class TestSegmentStats:
@@ -176,3 +130,23 @@ class TestGlobalSigma:
     def test_needs_two_points(self):
         with pytest.raises(ValueError):
             global_sigma(TimeSeries([1.0]))
+
+
+def test_package_exports_exactly_its_modules_exports():
+    # the package re-exports every module's public names and nothing else,
+    # so a name cut from a module cannot linger in tsseg.__all__
+    import importlib
+
+    import tsseg
+
+    exported = {
+        name: getattr(module, name)
+        for module in (
+            importlib.import_module(f"tsseg.{m}")
+            for m in ("core", "costs", "dp", "hmm", "selection", "simgen", "svg")
+        )
+        for name in module.__all__
+    }
+    assert sorted(tsseg.__all__) == sorted(exported)
+    for name in tsseg.__all__:
+        assert getattr(tsseg, name) is exported[name]

@@ -7,14 +7,12 @@ import pytest
 from tsseg import (
     GenSpec,
     Segmentation,
-    StateSequence,
     TimeSeries,
     build_cost_matrix,
     dp_segment,
     generate,
     hmm_segment,
     segmentation_cost,
-    states_from_segmentation,
 )
 from tsseg.costs import ar_cost_exact, poly_cost
 from tsseg.hmm import _decode
@@ -72,13 +70,14 @@ def transition_neg_log_likelihood(states, K, p):
     return -(stays * math.log(p) + transitions * math.log(1.0 - p))
 
 
-def joint_neg_log_likelihood(z, x, params):
-    """Negative log of the joint likelihood of a state path and the series:
-    -log P over the path's transitions (starting from state 1) plus
-    (x_t - mean[z_t])^2 / (2 sigma^2); +inf for a forbidden transition."""
-    if len(z) != len(x):
+def joint_neg_log_likelihood(states, x, params):
+    """Negative log of the joint likelihood of a state path (1-based labels)
+    and the series: -log P over the path's transitions (starting from state
+    1) plus (x_t - mean[z_t])^2 / (2 sigma^2); +inf for a forbidden
+    transition."""
+    states = np.asarray(states)
+    if len(states) != len(x):
         raise ValueError("state sequence and series must have the same length")
-    states = z.states
     if states.max() > params.K:
         raise ValueError("state sequence uses states beyond K")
     trans = transition_neg_log_likelihood(states, params.K, params.p)
@@ -97,7 +96,7 @@ def viterbi(x, params):
     """Most likely state path (1-based) and its joint log-likelihood."""
     dev = x.values[:, None] - params.means[None, :]
     bounds, loglik = _decode(-(dev * dev) / (2.0 * params.sigma**2), params.p)
-    return StateSequence(bounds_to_states(bounds) + 1), loglik
+    return bounds_to_states(bounds) + 1, loglik
 
 
 def enumerate_paths(T, K):
@@ -199,14 +198,14 @@ class TestJointLikelihood:
     def test_single_state_reduces_to_deviations(self):
         x = TimeSeries([1.0, 2.0, 3.0])
         params = HmmParams(1, 0.9, [2.0], 1.0)
-        z = StateSequence([1, 1, 1])
+        z = [1, 1, 1]
         expected = (1.0 + 0.0 + 1.0) / 2.0
         assert joint_neg_log_likelihood(z, x, params) == pytest.approx(expected)
 
     def test_pure_transition_terms(self):
         x = TimeSeries([0.0, 0.0])
         params = HmmParams(2, 0.9, [0.0, 5.0], 1.0)
-        z = StateSequence([1, 1])
+        z = [1, 1]
         assert joint_neg_log_likelihood(z, x, params) == pytest.approx(
             -2 * math.log(0.9)
         )
@@ -214,7 +213,7 @@ class TestJointLikelihood:
     def test_forbidden_transition_is_infinite(self):
         x = TimeSeries([0.0, 0.0])
         params = HmmParams(3, 0.9, [0.0, 1.0, 2.0], 1.0)
-        assert joint_neg_log_likelihood(StateSequence([1, 3]), x, params) == math.inf
+        assert joint_neg_log_likelihood([1, 3], x, params) == math.inf
 
     def test_matches_product_form(self):
         rng = np.random.default_rng(12)
@@ -224,7 +223,7 @@ class TestJointLikelihood:
             x = TimeSeries(rng.normal(0, 2, T))
             params = HmmParams(K, 0.85, rng.normal(0, 2, K), 1.3)
             for states in enumerate_paths(T, K):
-                nll = joint_neg_log_likelihood(StateSequence(states), x, params)
+                nll = joint_neg_log_likelihood(states, x, params)
                 oracle = product_form_likelihood(states, x, params)
                 assert math.exp(-nll) == pytest.approx(oracle, rel=1e-12)
 
@@ -236,7 +235,7 @@ class TestJointLikelihood:
         c = -(3 * math.log(0.9) + 2 * math.log(0.1))
         for states in ([1, 1, 2, 2, 3, 3], [1, 2, 2, 2, 3, 3], [1, 1, 1, 2, 3, 3]):
             # stays in state 3 are free (absorbing row), hence 3 paid stays
-            nll = joint_neg_log_likelihood(StateSequence(states), x, params)
+            nll = joint_neg_log_likelihood(states, x, params)
             assert nll == pytest.approx(c)
 
 
@@ -244,12 +243,12 @@ class TestViterbi:
     def test_obvious_split(self):
         x = TimeSeries([0.0, 0.0, 10.0, 10.0])
         z, _ = viterbi(x, HmmParams(2, 0.9, [0.0, 10.0], 1.0))
-        assert z.states.tolist() == [1, 1, 2, 2]
+        assert z.tolist() == [1, 1, 2, 2]
 
     def test_single_state(self):
         x = TimeSeries([5.0, -1.0, 3.0])
         z, loglik = viterbi(x, HmmParams(1, 0.9, [0.0], 2.0))
-        assert z.states.tolist() == [1, 1, 1]
+        assert z.tolist() == [1, 1, 1]
 
     def test_matches_exhaustive_enumeration(self):
         rng = np.random.default_rng(77)
@@ -260,7 +259,7 @@ class TestViterbi:
             params = HmmParams(K, 0.88, rng.normal(0, 1.5, K), 0.9)
             z, loglik = viterbi(x, params)
             best = max(
-                -joint_neg_log_likelihood(StateSequence(p), x, params)
+                -joint_neg_log_likelihood(p, x, params)
                 for p in enumerate_paths(T, K)
             )
             assert loglik == pytest.approx(best, rel=1e-9, abs=1e-9)
@@ -282,14 +281,14 @@ class TestViterbi:
         # non-absorbing states; the lowest state index must win
         x = TimeSeries([0.0, 0.0])
         z, _ = viterbi(x, HmmParams(3, 0.5, [0.0, 0.0, 0.0], 1.0))
-        assert z.states.tolist() == [1, 1]
+        assert z.tolist() == [1, 1]
 
     def test_absorbing_state_stays_are_free(self):
         # reaching the last state early is strictly better with equal means,
         # because self-transitions there cost nothing
         x = TimeSeries([1.0, 1.0, 1.0])
         z, loglik = viterbi(x, HmmParams(2, 0.5, [1.0, 1.0], 1.0))
-        assert z.states.tolist() == [2, 2, 2]
+        assert z.tolist() == [2, 2, 2]
         assert loglik == pytest.approx(math.log(0.5))
 
 
@@ -367,7 +366,7 @@ class TestHmmSegment:
             if len(x) < 5:
                 continue
             seg, trace = hmm_segment(x, 5, 0.9)
-            if not trace.in_phi_k:
+            if any(r.segmentation.order < 5 for r in trace.records):
                 continue
             lls = [r.log_likelihood for r in trace.records]
             costs = [r.cost for r in trace.records]
@@ -387,7 +386,6 @@ class TestHmmSegment:
         x, _ = generate(spec)
         seg, trace = hmm_segment(x, 4, 0.9)
         for rec in trace.records:
-            z = states_from_segmentation(rec.segmentation)
             direct = segmentation_cost(x, rec.segmentation)
             assert rec.cost == pytest.approx(direct, rel=1e-9, abs=1e-9)
 
@@ -402,7 +400,7 @@ class TestHmmSegment:
                 continue
             _, trace = hmm_segment(x, 5, 0.9)
             for rec in trace.records:
-                z = states_from_segmentation(rec.segmentation).states - 1
+                z = bounds_to_states(rec.bounds)
                 counts = np.bincount(z, minlength=5)
                 sums = np.bincount(z, weights=x.values, minlength=5)
                 used = counts > 0
@@ -423,7 +421,7 @@ class TestHmmSegment:
             decoded = {}
             for p in (0.85, 0.90, 0.95):
                 _, trace = hmm_segment(x, 5, p)
-                decoded[p] = trace.final_states.states
+                decoded[p] = bounds_to_states(trace.final.bounds)
             for a, b in combinations((0.85, 0.90, 0.95), 2):
                 agreements.append(float(np.mean(decoded[a] == decoded[b])))
         assert np.median(agreements) >= 0.95
@@ -432,9 +430,8 @@ class TestHmmSegment:
         # K far above the number of real regimes often loses states
         x = TimeSeries(np.concatenate([np.zeros(6), np.full(6, 8.0)]))
         seg, trace = hmm_segment(x, 6, 0.9)
-        assert seg.order == trace.final.states_used
-        if trace.collapsed:
-            assert seg.order < 6
+        assert seg.order == np.count_nonzero(np.diff(trace.final.bounds))
+        assert trace.collapsed == (seg.order < 6)
 
     def test_parameter_validation(self):
         x = TimeSeries([1.0, 2.0, 3.0])
@@ -536,9 +533,10 @@ class TestExactStop:
                 continue
             final = trace.final
             params = HmmParams(K, 0.9, final.params[:, 0], trace.sigma)
-            nll = joint_neg_log_likelihood(trace.final_states, x, params)
+            states = bounds_to_states(final.bounds) + 1
+            nll = joint_neg_log_likelihood(states, x, params)
             assert nll == pytest.approx(-final.log_likelihood, rel=1e-12)
-            starts_in_state_2 += int(trace.final_states.states[0] == 2)
+            starts_in_state_2 += int(states[0] == 2)
         assert starts_in_state_2 > 0
 
     def test_never_below_the_dp_optimum(self, em_runs):

@@ -4,7 +4,6 @@ import pytest
 from tsseg import (
     BenchTable,
     GenSpec,
-    StateSequence,
     accuracy,
     generate,
     p_for_expected_length,
@@ -14,24 +13,22 @@ from tsseg import (
 
 class TestGenerate:
     def test_noiseless_values_are_the_means(self):
-        x, z = generate(GenSpec(K=5, p=0.9, sigma=0.0, seed=0))
+        x, _ = generate(GenSpec(K=5, p=0.9, sigma=0.0, seed=0))
         assert set(np.unique(x.values)) <= {1.0, -1.0}
         signs = np.sign(x.values)
         assert int(np.count_nonzero(signs[1:] != signs[:-1])) == 4
 
     def test_exactly_k_segments_and_nondecreasing(self):
         for seed in range(25):
-            x, z = generate(GenSpec(K=5, p=0.95, sigma=0.7, seed=seed))
-            assert np.all(np.diff(z.states) >= 0)
-            changes = int(np.count_nonzero(np.diff(z.states))) + 1
-            assert changes == 5
-            assert len(x) == len(z)
+            x, truth = generate(GenSpec(K=5, p=0.95, sigma=0.7, seed=seed))
+            assert truth.order == 5
+            assert truth.length == len(x)
 
     def test_deterministic_given_seed(self):
         a = generate(GenSpec(K=5, p=0.97, sigma=1.0, seed=123))
         b = generate(GenSpec(K=5, p=0.97, sigma=1.0, seed=123))
         assert np.array_equal(a[0].values, b[0].values)
-        assert np.array_equal(a[1].states, b[1].states)
+        assert a[1] == b[1]
 
     def test_expected_length(self):
         lengths = [
@@ -60,33 +57,45 @@ class TestPForExpectedLength:
 
 
 class TestAccuracy:
+    """Paths are given by their state boundaries (0, b_1, ..., T)."""
+
     def test_identical(self):
-        z = StateSequence([1, 1, 2, 3])
-        assert accuracy(z, z) == 1.0
+        assert accuracy((0, 2, 3, 4), (0, 2, 3, 4)) == 1.0
 
     def test_half(self):
-        assert accuracy(
-            StateSequence([1, 1, 2, 2]), StateSequence([1, 1, 3, 3])
-        ) == pytest.approx(0.5)
+        # states 1 1 2 2 against 1 1 3 3, whose state 2 is empty
+        assert accuracy((0, 2, 4), (0, 2, 2, 4)) == pytest.approx(0.5)
 
     def test_two_thirds(self):
-        assert accuracy(
-            StateSequence([1, 1, 2]), StateSequence([1, 2, 2])
-        ) == pytest.approx(2 / 3)
+        assert accuracy((0, 2, 3), (0, 1, 3)) == pytest.approx(2 / 3)
 
     def test_symmetric(self):
-        a = StateSequence([1, 2, 2, 3, 3])
-        b = StateSequence([1, 1, 2, 2, 3])
+        a, b = (0, 1, 3, 5), (0, 2, 4, 5)
         assert accuracy(a, b) == accuracy(b, a)
 
     def test_one_iff_identical(self):
-        a = StateSequence([1, 2, 3])
-        b = StateSequence([1, 2, 4])
-        assert accuracy(a, b) < 1.0
+        assert accuracy((0, 1, 2, 3), (0, 1, 2, 2, 3)) < 1.0
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
-            accuracy(StateSequence([1, 1]), StateSequence([1, 1, 2]))
+            accuracy((0, 2), (0, 2, 3))
+
+    def test_collapsed_path_is_scored_by_state_index(self):
+        # the path skips state 2; scored as the segmentation of the states
+        # it uses, (0, 1, 3, 4), it would get 2/4
+        assert accuracy((0, 1, 2, 3, 4), (0, 1, 1, 3, 4)) == 0.75
+        assert accuracy((0, 1, 2, 3, 4), (0, 1, 3, 4)) == 0.5
+
+    def test_is_the_share_of_equal_state_labels(self):
+        rng = np.random.default_rng(3)
+        for _ in range(200):
+            T = int(rng.integers(1, 12))
+            a, b = (
+                np.concatenate([[0], np.sort(rng.integers(0, T + 1, k)), [T]])
+                for k in rng.integers(0, 5, 2)
+            )
+            labels = [np.repeat(np.arange(len(c) - 1), np.diff(c)) for c in (a, b)]
+            assert accuracy(a, b) == np.mean(labels[0] == labels[1])
 
 
 class TestBenchmark:

@@ -46,15 +46,13 @@ def test_polylines_match_the_per_point_rendering(model, labelled):
     x = TimeSeries(values, labels)
     seg = Segmentation((0, 70, 140, 210))
     if model == "means":
-        fitted = None
-        reference = np.concatenate(
+        fitted = np.concatenate(
             [np.full(s.length, s.mean) for s in segment_stats(x, seg)]
         )
     else:
         fitted, _, _ = _segment_fits(x.values, seg.change_points, "ar", 2)
-        reference = fitted
     svg = segmentation_svg(x, seg, fitted=fitted, title="t")
     drawn = re.findall(r'<polyline points="([^"]*)"', svg)
-    assert drawn == per_point_polylines(x, seg, reference)
+    assert drawn == per_point_polylines(x, seg, fitted)
     if labelled:
         assert ">1970</text>" in svg
