@@ -18,6 +18,7 @@ timings by design).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import re
@@ -72,7 +73,8 @@ def _parse_rows(
     label_column: int | None,
 ) -> tuple[list[float], list[int]]:
     """Row-by-row parse of :func:`ingest_csv`: skips a header row and names
-    the line of a bad cell."""
+    the line of a bad cell (not a number, a value that is not finite, a
+    label that is not an int64)."""
     rows = [
         (lineno, line.rstrip("\n"))
         for lineno, line in enumerate(raw_lines, start=1)
@@ -97,13 +99,24 @@ def _parse_rows(
             if pos == 0:
                 continue  # header row
             raise DataError(f"{path}:{lineno}: non-numeric cell {cell!r}") from None
+        if not math.isfinite(numbers[0]):
+            raise DataError(
+                f"{path}:{lineno}: non-finite value {cells[value_column - 1]!r}"
+            )
         values.append(numbers[0])
         if label_column:
-            if not math.isfinite(numbers[1]):
+            label = numbers[1]
+            problem = (
+                "non-finite" if not math.isfinite(label)
+                else "non-integer" if not label.is_integer()
+                else "out-of-range" if abs(label) >= 2.0**63  # not an int64
+                else None
+            )
+            if problem:
                 raise DataError(
-                    f"{path}:{lineno}: non-finite label {cells[label_column - 1]!r}"
+                    f"{path}:{lineno}: {problem} label {cells[label_column - 1]!r}"
                 )
-            labels.append(int(numbers[1]))
+            labels.append(int(label))
     return values, labels
 
 
@@ -113,8 +126,9 @@ def ingest_csv(
     """Read a comma- or tab-separated series; columns are 1-based.
 
     A single leading row whose selected cells do not parse as numbers is
-    treated as a header and skipped.  Any other non-numeric cell is a data
-    error reported with its line number.
+    treated as a header and skipped.  Any other non-numeric cell, a value
+    that is not finite and a label that is not an int64 are data errors
+    reported with their line number.
     """
     for name, column in (("value", value_column), ("label", label_column)):
         if column is not None and column < 1:
@@ -132,22 +146,26 @@ def ingest_csv(
     # float() ignores the whitespace around a cell, so the cells need no strip
     split = [line.split(delimiter) for line in lines]
     try:
-        values = [float(cells[value_column - 1]) for cells in split]
-        labels = (
-            [int(float(cells[label_column - 1])) for cells in split]
-            if label_column else []
+        values = np.array([float(cells[value_column - 1]) for cells in split])
+        labels = np.array(
+            [float(cells[label_column - 1]) for cells in split] if label_column else []
         )
-    except (ValueError, IndexError, OverflowError):
+        parsed = (
+            np.isfinite(values).all() and (np.abs(labels) < 2.0**63).all()
+            and (labels == np.round(labels)).all()
+        )
+    except (ValueError, IndexError):
+        parsed = False
+    if not parsed:
         # a header row or a bad line: the row-by-row parse skips or names it
         values, labels = _parse_rows(
             path, raw_lines, delimiter, value_column, label_column
         )
-    if not values:
+        values, labels = np.array(values), np.array(labels)
+    if not values.size:
         raise DataError(f"{path}: no numeric rows")
     try:
-        return TimeSeries(
-            np.array(values), np.array(labels) if label_column else None
-        )
+        return TimeSeries(values, labels.astype(int) if label_column else None)
     except ValueError as exc:
         raise DataError(f"{path}: {exc}") from exc
 
@@ -434,10 +452,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_parser = functools.cache(build_parser)
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    """Runs one command line and returns its exit code.
+
+    The parser is built on the first call and reused by every later call
+    in the process (building it costs more than a parse); ``parse_args``
+    keeps no state between calls.
+    """
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
         if args.command == "segment":
             return cmd_segment(args)
         return cmd_benchmark(args)

@@ -23,7 +23,11 @@ sliding view of the reversed, zero-padded rows.  Means then takes its
 closed form; ar and poly solve the Jacobi-scaled normal equations, with no
 ridge, by one broadcasting Cholesky solve over the whole block (poly's Gram
 matrix depends only on the window length, so it is factored once per
-length and serves every end).  That is O(T^2 d^2) work for d regressors.
+length and serves every end).  The solve reads only the lower triangle of
+a Gram matrix, so ar sums only that, and a window's cost is its x^2 sum
+less c'r, the explained sum of squares the solve forms anyway; the
+coefficients themselves are never assembled.  That is O(T^2 d^2) work for
+d regressors.
 Both segmenters fit a segmentation through :func:`_segment_fits`, on the
 same design rows and by the same solve.  Each model also has a
 direct evaluator (the slow, obviously-correct form) the tables are checked
@@ -48,7 +52,7 @@ __all__ = [
     "build_cost_matrix",
 ]
 
-#: Rayleigh quotient below which :func:`_solve` distrusts a solve (rounding
+#: Rayleigh quotient below which :func:`_lsq` distrusts a solve (rounding
 #: would swamp the residual), and the pseudo-inverse's cutoff relative to
 #: the largest eigenvalue.
 _RCOND = 1e-8
@@ -263,21 +267,29 @@ def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.einsum("...i,...i->...", a, b)
 
 
-def _solve(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Least-squares coefficients from stacked normal equations gram c = rhs.
+def _lsq(
+    gram: np.ndarray, rhs: np.ndarray, drop: np.ndarray | None = None
+) -> tuple[list[np.ndarray], list[np.ndarray], np.ndarray]:
+    """The least-squares kernel: solves stacked normal equations gram c = rhs.
 
     The batch shapes of ``gram`` (..., d, d) and ``rhs`` (..., d) broadcast
     against each other, so one Gram matrix can serve many right-hand sides
-    and is factored once for all of them.  Each system is scaled to a unit
-    diagonal (Jacobi) and solved by a Cholesky factorisation written entry
-    by entry over the whole batch: the Python loops run over d, never over
-    systems.  A system the solve cannot be trusted on, because a pivot is
-    not positive (the Gram matrix is singular, or rounding made it
-    indefinite) or its scaled coefficients lie along a direction the Gram
-    matrix barely spans (a Rayleigh quotient under ``_RCOND``), is solved
-    by a pseudo-inverse instead: the minimum-norm fit over the directions
-    the Gram matrix resolves, which for an exactly singular system still
-    reaches the least-squares minimum.
+    and is factored once for all of them.  Only the lower triangle of
+    ``gram`` is read.  Each system is scaled to a unit diagonal (Jacobi)
+    and solved by a Cholesky factorisation written entry by entry over the
+    whole batch: the Python loops run over d, never over systems.  A system
+    the solve cannot be trusted on, because a pivot is not positive (the
+    Gram matrix is singular, or rounding made it indefinite) or its scaled
+    coefficients lie along a direction the Gram matrix barely spans (a
+    Rayleigh quotient under ``_RCOND``), is solved by a pseudo-inverse
+    instead: the minimum-norm fit over the directions the Gram matrix
+    resolves, which for an exactly singular system still reaches the
+    least-squares minimum.  The systems that ``drop`` marks, whose result
+    the caller throws away, never take the fallback and may come out NaN.
+
+    Returns the scaled coefficients and the scales, one array per
+    regressor (coefficient i is ``c[i] / scale[i]``), and c'r, which is
+    rhs . coefficients: the sum of squares the fit explains.
     """
     d = rhs.shape[-1]
     # every entry is its own array, so that each operation runs over
@@ -309,15 +321,29 @@ def _solve(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     cc = sum(ci * ci for ci in c)
     cr = sum(ci * ri for ci, ri in zip(c, r))
     bad = ~((_RCOND * cc <= cr) & (cc < np.inf))  # also catches NaN
-    scale = np.stack(scale, axis=-1)
-    c = np.stack(c, axis=-1)
+    if drop is not None:
+        bad &= ~drop
     if bad.any():
-        s = np.broadcast_to(scale, c.shape)[bad]
-        g = np.broadcast_to(gram, c.shape + (d,))[bad] / (s[:, :, None] * s[:, None, :])
-        r = np.broadcast_to(rhs, c.shape)[bad] / s
+        # a single system gives numpy scalars, which cannot be assigned to
+        c, cr = [np.asarray(ci) for ci in c], np.asarray(cr)
+        s = np.stack([np.broadcast_to(si, bad.shape)[bad] for si in scale], axis=-1)
+        g = np.broadcast_to(gram, bad.shape + (d, d))[bad]
+        g = np.tril(g) + np.swapaxes(np.tril(g, -1), -1, -2)  # the lower triangle
+        g /= s[:, :, None] * s[:, None, :]
+        rb = np.stack([np.asarray(ri)[bad] for ri in r], axis=-1)
         pinv = np.linalg.pinv(g, rcond=_RCOND, hermitian=True)
-        c[bad] = (pinv @ r[..., None])[..., 0]
-    return c / scale
+        cb = (pinv @ rb[..., None])[..., 0]
+        for i in range(d):
+            c[i][bad] = cb[:, i]
+        cr[bad] = _dot(cb, rb)
+    return c, scale, cr
+
+
+def _solve(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Least-squares coefficients of the stacked normal equations
+    gram c = rhs, by :func:`_lsq`."""
+    c, scale, _ = _lsq(gram, rhs)
+    return np.stack(c, axis=-1) / np.stack(scale, axis=-1)
 
 
 def _design(
@@ -420,14 +446,12 @@ def _cumsum_by_age(padded: np.ndarray, t0: int, t1: int) -> np.ndarray:
 def _gram_by_age(padded_lower: np.ndarray, d: int, t0: int, t1: int) -> np.ndarray:
     """:func:`_cumsum_by_age` of the products u_i u_j of a symmetric d x d
     matrix, of which :func:`_reversed_padded` holds only the lower triangle,
-    in the order of ``np.tril_indices(d)``.  Each entry is summed once and
-    copied to (j, i), which the solve's fallback reads."""
+    in the order of ``np.tril_indices(d)``.  Only the lower triangle is
+    summed, which is all that :func:`_lsq` reads; the rest is left unset."""
     view = _by_age(padded_lower, t0, t1)
     gram = np.empty((view.shape[0], d, d, t1))
     for k, (i, j) in enumerate(zip(*np.tril_indices(d))):
         np.cumsum(view[:, k], axis=-1, out=gram[:, i, j])
-        if i != j:
-            gram[:, j, i] = gram[:, i, j]
     return np.moveaxis(gram, -1, 1)
 
 
@@ -504,12 +528,10 @@ def build_cost_matrix(
                 gram = _gram_by_age(padded_lower, d, t0, t1)[:, d:]
                 rhs = _cumsum_by_age(padded_rhs, t0, t1)[:, d:]
                 # the windows past the series start and the ends without
-                # an identified window get the system I c = 0, which the
-                # solve passes, instead of a singular one
-                skip = np.arange(d, t1) >= np.arange(t0, t1 + 1)[:, None]
-                skip[:unidentified] = True
-                np.copyto(rhs, 0.0, where=skip[..., None])
-                np.copyto(gram, np.eye(d), where=skip[..., None, None])
+                # an identified window are dropped, so they may be
+                # singular but must not take the fallback
+                drop = np.arange(d, t1) >= np.arange(t0, t1 + 1)[:, None]
+                drop[:unidentified] = True
             else:
                 # one Gram matrix per length, positive definite past
                 # length d, so the windows past the series start solve
@@ -517,7 +539,8 @@ def build_cost_matrix(
                 gram = by_length[d:t1]
                 xs = _by_age(padded_wx, t0, t1)[:, None, :] * design[:t1].T
                 rhs = np.moveaxis(np.cumsum(xs, axis=-1), -1, 1)[:, d:]
-            cost[:, d:] -= _dot(rhs, _solve(gram, rhs))
+                drop = None
+            cost[:, d:] -= _lsq(gram, rhs, drop)[2]
         cost[:, :d] = 0.0
         cost[:unidentified] = 0.0
         np.maximum(cost, 0.0, out=cost)

@@ -2,9 +2,10 @@
 
 The chart overlays the raw series polyline with the per-segment model fit
 (horizontal mean bars for the means model, per-segment curves otherwise)
-and marks change points with dashed vertical rules.  Output is plain SVG
-text with fixed number formatting, so identical inputs produce identical
-bytes.
+and marks change points with dashed vertical rules.  A segment whose fit
+is flat is drawn by its two end points, any other fit point by point.
+Output is plain SVG text with fixed number formatting, so identical inputs
+produce identical bytes.
 """
 
 from __future__ import annotations
@@ -114,10 +115,14 @@ def segmentation_svg(
         f'<polyline points="{_points(xs, sy(values))}" fill="none" '
         f'stroke="#4878a8" stroke-width="1"/>'
     )
-    # fitted values, one polyline per segment so jumps stay vertical-free
+    # fitted values, one polyline per segment so jumps stay vertical-free;
+    # a flat run (every means fit) is drawn by its two end points: the
+    # slice's step skips from the first point straight to the last
     ys = sy(fitted)
     for start, end in t.segments():
-        seg_pts = _points(xs[start - 1 : end], ys[start - 1 : end])
+        run = fitted[start - 1 : end]
+        step = max(end - start, 1) if (run == run[0]).all() else 1
+        seg_pts = _points(xs[start - 1 : end : step], ys[start - 1 : end : step])
         out.append(
             f'<polyline points="{seg_pts}" fill="none" stroke="#c03028" '
             f'stroke-width="2"/>'

@@ -160,6 +160,10 @@ def test_ingest_matches_the_row_by_row_parse(tmp_path, monkeypatch, name):
         ("1.0,1990\n2.0,oops\n", 2, "series.csv:2: non-numeric cell 'oops'"),
         ("1.0,1990\n2.0,inf\n", 2, "series.csv:2: non-finite label 'inf'"),
         ("1.0,1990\n2.0,nan\n", 2, "series.csv:2: non-finite label 'nan'"),
+        ("1.0\n2.0\ninf\n4.0\n", None, "series.csv:3: non-finite value 'inf'"),
+        ("1.0,1990.7\n2.0,1991\n3.0,1992\n4.0,1993\n", 2,
+         "series.csv:1: non-integer label '1990.7'"),
+        ("1.0,1e19\n2.0,2e19\n", 2, "series.csv:1: out-of-range label '1e19'"),
     ],
 )
 def test_ingest_names_the_line_of_a_bad_cell(tmp_path, text, label_col, message):
@@ -175,6 +179,56 @@ def test_exit_2_on_an_infinite_label_names_its_line(tmp_path, capsys):
     assert run(tmp_path, "1.0,1990\n2.0,inf\n", "--K", "2", "--label-col", "2") == 2
     err = capsys.readouterr().err
     assert err.startswith("data error:") and "series.csv:2:" in err and "'inf'" in err
+
+
+def test_exit_2_on_an_infinite_value_names_its_line(tmp_path, capsys):
+    assert run(tmp_path, "1.0\n2.0\ninf\n4.0\n", "--K", "2") == 2
+    assert capsys.readouterr().err == (
+        "data error: " + str(tmp_path / "series.csv") + ":3: non-finite value 'inf'\n"
+    )
+
+
+def test_the_reused_parser_carries_nothing_between_calls(tmp_path, monkeypatch):
+    import tsseg.cli
+
+    csv = tmp_path / "series.csv"
+    csv.write_text("".join(
+        f"{year},{v}\n" for year, v in zip(range(1901, 1941), [0.0] * 20 + [5.0] * 20)
+    ))
+    calls = [
+        ["--algo", "dp", "--select-order", "--K-max", "3", "--value-col", "2"],
+        ["--algo", "dp", "--K", "2", "--value-col", "2"],
+        ["--algo", "nope", "--K", "2"],
+        ["--algo", "dp", "--K", "2", "--value-col", "2"],
+        ["--algo", "dp", "--K", "2", "--value-col", "2", "--label-col", "1"],
+        ["--algo", "dp", "--K", "2"],
+    ]
+
+    def run_all(tag):
+        outcomes = []
+        for i, args in enumerate(calls):
+            out = tmp_path / f"{tag}{i}.json"
+            rc = main(["segment", str(csv), *args, "--json", str(out)])
+            outcomes.append((rc, out.read_text() if rc == 0 else None))
+        return outcomes
+
+    parser = tsseg.cli._parser()
+    reused = run_all("reused")
+    assert tsseg.cli._parser() is parser
+    monkeypatch.setattr(tsseg.cli, "_parser", tsseg.cli.build_parser)
+    assert reused == run_all("fresh")
+
+    assert [rc for rc, _ in reused] == [0, 0, 1, 0, 0, 0]
+    reports = [json.loads(text) if text else None for _, text in reused]
+    assert reports[0]["config"]["select_order"] and reports[0]["config"]["k_max"] == 3
+    assert not reports[1]["config"]["select_order"]
+    assert reports[1]["config"]["k_max"] is None and "selection" not in reports[1]
+    assert reports[4]["input"]["label_column"] == 1
+    assert reports[5]["input"] == {
+        "path": str(csv), "length": 40, "value_column": 1, "label_column": None,
+    }
+    # the default column holds the years
+    assert reports[5]["result"]["segments"][0]["mean"] >= 1901
 
 
 def test_exit_3_on_singular_window(tmp_path, capsys, monkeypatch):

@@ -11,7 +11,7 @@ from tsseg import (
     poly_cost,
 )
 from tsseg import costs
-from tsseg.costs import _group_fit, _solve, lag_matrix
+from tsseg.costs import _group_fit, _lsq, _solve, lag_matrix
 
 
 def make_ar1(T, a0=1.0, a1=0.5, x0=0.0):
@@ -403,6 +403,19 @@ class TestBlockFill:
                 expected = np.linalg.lstsq(gram[i], rhs[b, i], rcond=1e-10)[0]
                 err = np.linalg.norm(coef[b, i] - expected)
                 assert err <= 1e-12 * np.linalg.norm(expected)
+
+    def test_the_table_subtracts_the_explained_sum(self):
+        # the table subtracts the c'r the kernel forms, which is rhs . c,
+        # on the fallback's systems as on the others
+        rng = np.random.default_rng(12)
+        w, B, d = 9, 6, 3
+        rows = rng.standard_normal((w, 12, d)) * [1.0, 3.0, 0.5]
+        rows[4, :, 2] = rows[4, :, 1]  # a singular system, for the fallback
+        gram = np.einsum("wni,wnj->wij", rows, rows)
+        rhs = rng.standard_normal((B, w, d))
+        explained = _lsq(np.tril(gram), rhs)[2]
+        expected = np.einsum("bwi,bwi->bw", rhs, _solve(gram, rhs))
+        np.testing.assert_allclose(explained, expected, rtol=1e-12, atol=0.0)
 
 
 class TestCostMatrixContainer:

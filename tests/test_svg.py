@@ -10,7 +10,8 @@ from tsseg.svg import segmentation_svg
 
 def per_point_polylines(x, seg, fitted, width=900, height=360):
     """The polyline points of the chart, one f-string per point: the
-    series, then the fit of each segment."""
+    series, then the fit of each segment, of which a flat one is drawn by
+    its first and last points (one point for a one-point segment)."""
     values = x.values
     T = len(x)
     lo = min(values.min(), fitted.min())
@@ -29,9 +30,10 @@ def per_point_polylines(x, seg, fitted, width=900, height=360):
 
     lines = [" ".join(f"{sx(i):.2f},{sy(v):.2f}" for i, v in enumerate(values))]
     for start, end in seg.segments():
-        lines.append(" ".join(
-            f"{sx(i):.2f},{sy(fitted[i]):.2f}" for i in range(start - 1, end)
-        ))
+        drawn = range(start - 1, end)
+        if len({fitted[i] for i in drawn}) == 1:
+            drawn = sorted({start - 1, end - 1})
+        lines.append(" ".join(f"{sx(i):.2f},{sy(fitted[i]):.2f}" for i in drawn))
     return lines
 
 
@@ -54,5 +56,22 @@ def test_polylines_match_the_per_point_rendering(model, labelled):
     svg = segmentation_svg(x, seg, fitted=fitted, title="t")
     drawn = re.findall(r'<polyline points="([^"]*)"', svg)
     assert drawn == per_point_polylines(x, seg, fitted)
+    # the means fit is flat on each segment, the ar fit is not
+    assert [len(line.split()) for line in drawn[1:]] == (
+        [2, 2, 2] if model == "means" else [70, 70, 70]
+    )
     if labelled:
         assert ">1970</text>" in svg
+
+
+def test_a_flat_fit_is_drawn_by_its_ends():
+    rng = np.random.default_rng(4)
+    x = TimeSeries(np.concatenate(
+        [rng.standard_normal(30), [4.0], 2.0 + rng.standard_normal(9)]
+    ))
+    seg = Segmentation((0, 30, 31, 33, 40))  # a one-point and a two-point segment
+    fitted, _, _ = _segment_fits(x.values, seg.change_points, "means", 0)
+    svg = segmentation_svg(x, seg, fitted=fitted)
+    drawn = re.findall(r'<polyline points="([^"]*)"', svg)
+    assert drawn == per_point_polylines(x, seg, fitted)
+    assert [len(line.split()) for line in drawn] == [40, 2, 1, 2, 2]
