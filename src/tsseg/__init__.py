@@ -20,22 +20,15 @@ from .core import (
     TimeSeries,
     global_sigma,
     segment_stats,
-    segmentation_cost,
 )
 from .costs import (
     CostMatrix,
-    SingularWindowError,
     ar_cost_exact,
     build_cost_matrix,
     means_cost_direct,
     poly_cost,
 )
-from .dp import (
-    DpResult,
-    brute_force_segment,
-    dp_segment,
-    min_cost_curve,
-)
+from .dp import DpResult, brute_force_segment, dp_segment
 from .hmm import EmIteration, EmTrace, hmm_segment
 from .selection import (
     ScheffeResult,
@@ -66,10 +59,8 @@ __all__ = [
     "Segmentation",
     "SegmentStats",
     "segment_stats",
-    "segmentation_cost",
     "global_sigma",
     "CostMatrix",
-    "SingularWindowError",
     "means_cost_direct",
     "ar_cost_exact",
     "poly_cost",
@@ -77,7 +68,6 @@ __all__ = [
     "DpResult",
     "dp_segment",
     "brute_force_segment",
-    "min_cost_curve",
     "EmIteration",
     "EmTrace",
     "hmm_segment",

@@ -29,7 +29,7 @@ import numpy as np
 
 from . import __version__
 from .core import Segmentation, TimeSeries, segment_stats
-from .costs import CostMatrix, SingularWindowError, _segment_fits, build_cost_matrix
+from .costs import CostMatrix, _segment_fits, build_cost_matrix
 from .dp import dp_segment
 from .hmm import EmTrace, hmm_segment
 from .selection import (
@@ -473,8 +473,7 @@ def main(argv: list[str] | None = None) -> int:
     except DataError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except (SingularWindowError, np.linalg.LinAlgError, FloatingPointError,
-            RuntimeError) as exc:
+    except (np.linalg.LinAlgError, RuntimeError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except ValueError as exc:

@@ -23,7 +23,6 @@ __all__ = [
     "Segmentation",
     "SegmentStats",
     "segment_stats",
-    "segmentation_cost",
     "global_sigma",
 ]
 
@@ -128,11 +127,6 @@ def segment_stats(x: TimeSeries, t: Segmentation) -> list[SegmentStats]:
         r = w - mu
         out.append(SegmentStats(mean=mu, deviation=float(r @ r), length=len(w)))
     return out
-
-
-def segmentation_cost(x: TimeSeries, t: Segmentation) -> float:
-    """Total within-segment squared deviation D_K = sum of segment deviations."""
-    return float(sum(s.deviation for s in segment_stats(x, t)))
 
 
 def global_sigma(x: TimeSeries) -> float:

@@ -31,7 +31,8 @@ d regressors.
 Both segmenters fit a segmentation through :func:`_segment_fits`, on the
 same design rows and by the same solve.  Each model also has a
 direct evaluator (the slow, obviously-correct form) the tables are checked
-against.
+against; the ar and poly evaluators raise ``np.linalg.LinAlgError`` on a
+window whose design is singular.
 """
 
 from __future__ import annotations
@@ -45,7 +46,6 @@ from .core import TimeSeries, _freeze
 
 __all__ = [
     "CostMatrix",
-    "SingularWindowError",
     "means_cost_direct",
     "ar_cost_exact",
     "poly_cost",
@@ -62,14 +62,6 @@ _RCOND = 1e-8
 #: windows, small enough that the solve's working arrays stay in cache.
 #: The DP fill (:func:`tsseg.dp._run_dp`) takes blocks of ``_CELLS // T`` ends.
 _CELLS = 1 << 16
-
-
-class SingularWindowError(Exception):
-    """The design matrix of a window [s, t] is singular."""
-
-    def __init__(self, s: int, t: int, message: str | None = None):
-        self.window = (s, t)
-        super().__init__(message or f"singular design on window [{s}, {t}]")
 
 
 def _admissibility(model: str, order: int) -> tuple[int, int]:
@@ -97,7 +89,7 @@ class CostMatrix:
     ``order`` rows of the series.  Means flags nothing (``first_end`` 1).
     So the admissible windows ending at t >= ``first_end`` are those with
     s - 1 <= t - ``default_min_segment_length``: one bound per end on the
-    previous change point.
+    previous change point.  :attr:`flagged` is the same rule as a mask.
     """
 
     by_end: np.ndarray
@@ -124,16 +116,6 @@ class CostMatrix:
         """First window end at which some window is not flagged."""
         return _admissibility(self.model_tag, self.order)[1]
 
-    def window_cost(self, s: int, t: int) -> float:
-        self._check_window(s, t)
-        return float(self.by_end[t - 1, s - 1])
-
-    def is_flagged(self, s: int, t: int) -> bool:
-        self._check_window(s, t)
-        return self.model_tag != "means" and (
-            t - s + 1 < self.default_min_segment_length or t < self.first_end
-        )
-
     # The two masks below are built on demand from the rule, for
     # bench/run.py's ``work_counts``, which sums their bytes into
     # ``costs.table_bytes``; nothing in the package reads them.
@@ -158,10 +140,6 @@ class CostMatrix:
         boundary = np.tri(self.n, dtype=bool)
         boundary[:, self.order :] = False
         return boundary
-
-    def _check_window(self, s: int, t: int) -> None:
-        if not (1 <= s <= t <= self.n):
-            raise ValueError(f"window [{s}, {t}] out of range for T={self.n}")
 
     def to_tsv(self) -> str:
         """Tab-separated triangular dump; line t holds d[1, t] .. d[t, t]."""
@@ -207,8 +185,8 @@ def ar_cost_exact(
 ) -> tuple[float, np.ndarray]:
     """Least-squares autoregression on the window [s, t], by ``lstsq`` on
     the window's design rows; returns (squared prediction error,
-    coefficients).  Windows whose Gram matrix has a condition number over
-    1e12 are refused as singular.
+    coefficients).  A window whose Gram matrix has a condition number over
+    1e12 is singular and raises ``np.linalg.LinAlgError``.
 
     Coefficients are ordered [intercept, lag 1, ..., lag ``order``].  The
     first ``order`` observations of the series have no real lags, so
@@ -227,11 +205,8 @@ def ar_cost_exact(
     w = x.values[lo - 1 : t]
     gram = U.T @ U
     if not np.all(np.isfinite(gram)) or np.linalg.cond(gram) > 1e12:
-        raise SingularWindowError(s, t)
-    try:
-        coef = np.linalg.lstsq(U, w, rcond=None)[0]
-    except np.linalg.LinAlgError as exc:
-        raise SingularWindowError(s, t, str(exc)) from exc
+        raise np.linalg.LinAlgError(f"singular design on window [{s}, {t}]")
+    coef = np.linalg.lstsq(U, w, rcond=None)[0]
     r = w - U @ coef
     return float(r @ r), coef
 
@@ -241,7 +216,8 @@ def poly_cost(
 ) -> tuple[float, np.ndarray]:
     """Least-squares polynomial in the within-segment offset 1..(t-s+1).
 
-    Returns (squared residual, coefficients [a_0, ..., a_degree]).
+    Returns (squared residual, coefficients [a_0, ..., a_degree]).  A
+    rank-deficient design raises ``np.linalg.LinAlgError``.
     """
     if not (1 <= s <= t <= len(x)):
         raise ValueError(f"window [{s}, {t}] out of range for T={len(x)}")
@@ -254,7 +230,7 @@ def poly_cost(
     w = x.values[s - 1 : t]
     coef, _, rank, _ = np.linalg.lstsq(design, w, rcond=None)
     if rank < degree + 1:
-        raise SingularWindowError(s, t, "rank-deficient polynomial design")
+        raise np.linalg.LinAlgError(f"singular design on window [{s}, {t}]")
     r = w - design @ coef
     return float(r @ r), coef
 

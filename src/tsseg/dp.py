@@ -36,7 +36,6 @@ __all__ = [
     "DpResult",
     "dp_segment",
     "brute_force_segment",
-    "min_cost_curve",
 ]
 
 #: brute_force_segment refuses longer series (the enumeration is combinatorial).
@@ -168,12 +167,3 @@ def brute_force_segment(
             return DpResult(k, Segmentation(best_cps), float(best_cost), used_flagged)
         min_len = first_end = 1
     raise AssertionError("no feasible segmentation found")
-
-
-def min_cost_curve(
-    costs: CostMatrix, k_max: int, min_segment_length: int | None = None
-) -> np.ndarray:
-    """Optimal cost as a function of the order, 1..k_max (nonincreasing)."""
-    return np.array(
-        [r.cost for r in dp_segment(costs, k_max, min_segment_length)]
-    )

@@ -168,8 +168,6 @@ class ScheffeResult:
     significant: bool
     statistics: tuple[float, ...]  # one per adjacent segment pair
     threshold: float
-    pooled_variance: float
-    dof: tuple[int, int]
     degenerate: bool = False
 
 
@@ -196,8 +194,6 @@ def scheffe_significant(
             significant=False,
             statistics=(float("nan"),) * (K - 1),
             threshold=float("nan"),
-            pooled_variance=0.0,
-            dof=(K - 1, T - K),
             degenerate=True,
         )
     s2w = sum(s.deviation for s in stats) / (T - K)
@@ -216,8 +212,6 @@ def scheffe_significant(
         significant=significant,
         statistics=tuple(contrasts),
         threshold=threshold,
-        pooled_variance=s2w,
-        dof=(K - 1, T - K),
         degenerate=degenerate,
     )
 
@@ -227,7 +221,6 @@ class WhitenessResult:
     white: bool
     lag1: float
     band: float
-    n: int
 
 
 def residual_whiteness(residuals, alpha: float = 0.05) -> WhitenessResult:
@@ -243,9 +236,9 @@ def residual_whiteness(residuals, alpha: float = 0.05) -> WhitenessResult:
     centered = r - r.mean()
     denom = float(centered @ centered)
     if denom == 0.0:
-        return WhitenessResult(white=True, lag1=0.0, band=band, n=r.size)
+        return WhitenessResult(white=True, lag1=0.0, band=band)
     lag1 = float(centered[1:] @ centered[:-1]) / denom
-    return WhitenessResult(white=abs(lag1) <= band, lag1=lag1, band=band, n=r.size)
+    return WhitenessResult(white=abs(lag1) <= band, lag1=lag1, band=band)
 
 
 # ---------------------------------------------------------------------------
@@ -313,7 +306,8 @@ def select_order(
 
     The report keeps one record per attempted order.  A run of the
     iterative segmenter that lost states (fewer than K segments) counts as
-    a failure under either verdict.
+    a failure under either verdict.  ``min_segment_length`` applies to
+    ``algorithm="dp"`` only; the HMM ignores it.
     """
     T = len(x)
     k_max = min(k_max, T)
@@ -331,6 +325,7 @@ def select_order(
     records: list[SelectionRecord] = []
     chosen = 1 if contrast else k_max
     for K in range(2 if contrast else 1, k_max + 1):
+        residuals = None
         if dp_results is not None:
             res = dp_results[K - 1]
             seg, cost = res.segmentation, res.cost
@@ -351,7 +346,8 @@ def select_order(
             else:
                 statistic, threshold, ok = float("nan"), float("nan"), False
         else:
-            residuals = _segment_residuals(x, seg, cost_model, order)
+            if residuals is None:
+                residuals = _segment_residuals(x, seg, cost_model, order)
             verdict = residual_whiteness(residuals, alpha)
             statistic = verdict.lag1
             threshold = verdict.band

@@ -95,8 +95,6 @@ class BenchRow:
 @dataclass(frozen=True)
 class BenchTable:
     rows: tuple[BenchRow, ...]
-    replicates: int
-    algorithm: str
 
     def to_csv(self) -> str:
         lines = ["T,sigma,mean_accuracy,mean_time_ms"]
@@ -187,4 +185,4 @@ def run_benchmark(
                     mean_time_ms=float(times.mean()),
                 )
             )
-    return BenchTable(rows=tuple(rows), replicates=replicates, algorithm=algorithm)
+    return BenchTable(rows=tuple(rows))

@@ -9,7 +9,8 @@ from tsseg import (
     build_cost_matrix,
     dp_segment,
     poly_cost,
-    segmentation_cost,
+    run_benchmark,
+    segment_stats,
 )
 from tsseg.cli import _parse_rows, ingest_csv, main
 
@@ -50,7 +51,7 @@ def test_means_report_cost_is_the_segmentation_cost(tmp_path, algo):
     values = 1e3 + np.repeat([0.0, 3.0, -1.0], 40) + 0.5 * rng.standard_normal(120)
     report = segment(tmp_path, values, "--algo", algo, "--K", "3")
     seg = Segmentation(tuple(report["result"]["change_points"]))
-    expected = segmentation_cost(TimeSeries(values), seg)
+    expected = sum(s.deviation for s in segment_stats(TimeSeries(values), seg))
     assert report["result"]["cost"] == pytest.approx(expected, rel=1e-12)
 
 
@@ -233,10 +234,9 @@ def test_the_reused_parser_carries_nothing_between_calls(tmp_path, monkeypatch):
 
 def test_exit_3_on_singular_window(tmp_path, capsys, monkeypatch):
     import tsseg.cli
-    from tsseg import SingularWindowError
 
     def singular(*args, **kwargs):
-        raise SingularWindowError(3, 9)
+        raise np.linalg.LinAlgError("singular design on window [3, 9]")
 
     monkeypatch.setattr(tsseg.cli, "build_cost_matrix", singular)
     assert run(tmp_path, two_levels(), "--algo", "dp", "--K", "2") == 3
@@ -357,3 +357,73 @@ def test_identical_runs_write_identical_files(tmp_path, args):
         outputs.append((json_path.read_bytes(), svg_path.read_bytes()))
     assert outputs[0] == outputs[1]
     assert b"<svg" in outputs[0][1]
+
+
+def test_exit_3_on_a_runtime_error(tmp_path, capsys, monkeypatch):
+    import tsseg.cli
+
+    def diverged(*args, **kwargs):
+        raise RuntimeError("did not converge")
+
+    monkeypatch.setattr(tsseg.cli, "hmm_segment", diverged)
+    assert run(tmp_path, two_levels(), "--K", "2") == 3
+    assert "numerical failure: did not converge" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "algo, cost, model, order", [("dp", "ar(1)", "ar", 1), ("hmm", "means", "means", None)]
+)
+def test_dump_cost_matrix_is_the_table(tmp_path, algo, cost, model, order):
+    # the DP run dumps the table it segmented with; the HMM run builds it
+    values = ar1_series(4, [0.0, 2.0], n=15)
+    dump = tmp_path / "table.tsv"
+    segment(tmp_path, values, "--algo", algo, "--cost", cost, "--K", "2",
+            "--dump-cost-matrix", str(dump))
+    text = dump.read_text()
+    assert text == build_cost_matrix(TimeSeries(values), model, order=order).to_tsv()
+    lines = text.splitlines()
+    assert len(lines) == len(values)
+    assert [len(line.split("\t")) for line in lines] == list(range(1, len(values) + 1))
+
+
+BENCH_GRID = ("--lengths", "30,40", "--sigmas", "0,0.5", "--replicates", "2")
+
+
+def without_times(csv_text):
+    return [line.rsplit(",", 1)[0] for line in csv_text.splitlines()]
+
+
+def test_benchmark_writes_one_csv_row_per_cell(capsys):
+    assert main(["benchmark", *BENCH_GRID]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "T,sigma,mean_accuracy,mean_time_ms"
+    assert [line.split(",")[:2] for line in lines[1:]] == [
+        ["30", "0"], ["30", "0.5"], ["40", "0"], ["40", "0.5"],
+    ]
+    expected = run_benchmark([30, 40], [0.0, 0.5], 2).to_csv()
+    assert without_times("\n".join(lines)) == without_times(expected)
+
+
+def test_benchmark_csv_option_writes_the_file_and_prints_tables(tmp_path, capsys):
+    csv = tmp_path / "bench.csv"
+    assert main(["benchmark", *BENCH_GRID, "--algo", "dp", "--csv", str(csv)]) == 0
+    out = capsys.readouterr().out
+    expected = run_benchmark([30, 40], [0.0, 0.5], 2, algorithm="dp").to_csv()
+    assert without_times(csv.read_text()) == without_times(expected)
+    assert out.startswith("sigma\\T") and "\nT_e (ms)" in out
+    assert "mean_accuracy" not in out
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["--lengths", ""], "empty benchmark grid"),
+        (["--lengths", "30", "--replicates", "0"], "replicates must be >= 1"),
+        (["--lengths", "5"], "expected length must exceed the number of states"),
+    ],
+    ids=["empty-lengths", "no-replicates", "length-at-K"],
+)
+def test_benchmark_exit_1_on_a_bad_grid(capsys, args, message):
+    assert main(["benchmark", "--sigmas", "0", *args]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage error:") and message in err

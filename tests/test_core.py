@@ -9,8 +9,8 @@ from tsseg import (
     Segmentation,
     TimeSeries,
     global_sigma,
+    means_cost_direct,
     segment_stats,
-    segmentation_cost,
 )
 
 
@@ -82,16 +82,18 @@ class TestSegmentStats:
 
 class TestSegmentationCost:
     def test_piecewise_constant(self):
-        assert segmentation_cost(TimeSeries([1, 1, 2, 2]), Segmentation((0, 2, 4))) == 0.0
+        stats = segment_stats(TimeSeries([1, 1, 2, 2]), Segmentation((0, 2, 4)))
+        assert [s.deviation for s in stats] == [0.0, 0.0]
 
     def test_single_block(self):
-        assert segmentation_cost(TimeSeries([1, 1, 5, 5]), Segmentation((0, 4))) == 16.0
+        stats = segment_stats(TimeSeries([1, 1, 5, 5]), Segmentation((0, 4)))
+        assert [s.deviation for s in stats] == [16.0]
 
     @given(st.lists(st.floats(-100, 100), min_size=1, max_size=30))
     def test_order_T_is_free(self, values):
         x = TimeSeries(values)
         t = Segmentation(tuple(range(len(values) + 1)))
-        assert segmentation_cost(x, t) == 0.0
+        assert all(s.deviation == 0.0 for s in segment_stats(x, t))
 
     @given(
         st.lists(st.floats(-50, 50), min_size=2, max_size=30),
@@ -109,7 +111,7 @@ class TestSegmentationCost:
             )
         )
         t = Segmentation((0, *sorted(interior), len(values)))
-        total = segmentation_cost(x, t)
+        total = sum(means_cost_direct(x, a, b) for a, b in t.segments())
         parts = sum(s.deviation for s in segment_stats(x, t))
         assert total == pytest.approx(parts, rel=1e-12, abs=1e-12)
 

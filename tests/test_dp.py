@@ -8,7 +8,6 @@ from tsseg import (
     brute_force_segment,
     build_cost_matrix,
     dp_segment,
-    min_cost_curve,
 )
 from tsseg.dp import _run_dp
 
@@ -91,20 +90,20 @@ def test_matches_brute_force_exactly():
 
 def test_min_cost_curve_values():
     cm = build_cost_matrix(TimeSeries([1, 1, 5, 5]))
-    curve = min_cost_curve(cm, 4)
+    curve = [r.cost for r in dp_segment(cm, 4)]
     assert curve == pytest.approx([16.0, 0.0, 0.0, 0.0])
 
 
 def test_min_cost_curve_hand_enumeration():
     # [1,2,3]: one block costs 2; the best 2-split leaves 0.5; singletons 0
     cm = build_cost_matrix(TimeSeries([1, 2, 3]))
-    assert min_cost_curve(cm, 3) == pytest.approx([2.0, 0.5, 0.0])
+    assert [r.cost for r in dp_segment(cm, 3)] == pytest.approx([2.0, 0.5, 0.0])
 
 
 def test_min_cost_curve_nonincreasing_and_ends_at_zero():
     rng = np.random.default_rng(42)
     x = TimeSeries(rng.standard_normal(18))
-    curve = min_cost_curve(build_cost_matrix(x), 18)
+    curve = [r.cost for r in dp_segment(build_cost_matrix(x), 18)]
     assert np.all(np.diff(curve) <= 1e-12)
     assert curve[-1] == 0.0
 
@@ -114,7 +113,7 @@ def test_refinement_monotonicity_at_the_optimum():
     for _ in range(10):
         T = int(rng.integers(5, 21))
         x = TimeSeries(rng.standard_normal(T))
-        curve = min_cost_curve(build_cost_matrix(x), min(T, 6))
+        curve = [r.cost for r in dp_segment(build_cost_matrix(x), min(T, 6))]
         assert np.all(np.diff(curve) <= 1e-12)
 
 
@@ -160,10 +159,11 @@ def test_ar_matrix_avoids_flagged_windows():
     x = TimeSeries(rng.standard_normal(40))
     cm = build_cost_matrix(x, "ar", order=2)
     results = dp_segment(cm, 4)
+    flagged = cm.flagged
     for res in results:
         assert not res.used_flagged
         for s, t in res.segmentation.segments():
-            assert not cm.is_flagged(s, t)
+            assert not flagged[t - 1, s - 1]
 
 
 def test_ar_matrix_brute_force_agreement():
@@ -176,7 +176,7 @@ def test_ar_matrix_brute_force_agreement():
 
 
 def test_hmm_cost_never_beats_dp():
-    from tsseg import hmm_segment, segmentation_cost
+    from tsseg import hmm_segment, segment_stats
 
     rng = np.random.default_rng(55)
     for _ in range(5):
@@ -187,7 +187,8 @@ def test_hmm_cost_never_beats_dp():
         )
         seg, trace = hmm_segment(x, 3, 0.9)
         dp_cost = dp_segment(build_cost_matrix(x), 3)[2].cost
-        assert segmentation_cost(x, seg) >= dp_cost - 1e-9
+        cost = sum(s.deviation for s in segment_stats(x, seg))
+        assert cost >= dp_cost - 1e-9
 
 
 @pytest.mark.parametrize("model", list(MODELS))
@@ -195,10 +196,10 @@ def test_is_flagged_is_the_stored_mask(model):
     model, order = MODELS[model]
     for T in range(1, 41):
         cm = CostMatrix(np.zeros((T, T)), model, order)
-        mask = stored_mask(T, model, order)
-        for t in range(1, T + 1):
-            for s in range(1, t + 1):
-                assert cm.is_flagged(s, t) == mask[t - 1, s - 1]
+        if model == "means":  # flags nothing, so there is no mask
+            assert cm.flagged is None
+        else:
+            assert np.array_equal(cm.flagged, stored_mask(T, model, order))
 
 
 def reference_runs(cm, model, order):

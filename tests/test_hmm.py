@@ -12,7 +12,7 @@ from tsseg import (
     dp_segment,
     generate,
     hmm_segment,
-    segmentation_cost,
+    segment_stats,
 )
 from tsseg.costs import ar_cost_exact, poly_cost
 from tsseg.hmm import _decode
@@ -386,7 +386,7 @@ class TestHmmSegment:
         x, _ = generate(spec)
         seg, trace = hmm_segment(x, 4, 0.9)
         for rec in trace.records:
-            direct = segmentation_cost(x, rec.segmentation)
+            direct = sum(s.deviation for s in segment_stats(x, rec.segmentation))
             assert rec.cost == pytest.approx(direct, rel=1e-9, abs=1e-9)
 
     def test_means_params_are_the_state_sample_means(self):
@@ -548,10 +548,13 @@ class TestExactStop:
         for x, K, (model, order), trace in em_runs:
             key = (id(x), model, order)
             if key not in tables:
-                tables[key] = build_cost_matrix(x, model, order=order)
-            table = tables[key]
+                table = build_cost_matrix(x, model, order=order)
+                tables[key] = table, table.flagged
+            table, flagged = tables[key]
             seg = trace.final.segmentation
-            if any(table.is_flagged(s, t) for s, t in seg.segments()):
+            if flagged is not None and any(
+                flagged[t - 1, s - 1] for s, t in seg.segments()
+            ):
                 continue
             optimum = dp_segment(table, seg.order)[-1].cost
             total = float(np.sum((x.values - x.values.mean()) ** 2))

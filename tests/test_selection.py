@@ -191,6 +191,26 @@ class TestSelectOrder:
             exact = sum(poly_cost(x, a, b, 1)[0] for a, b in segments)
             assert r.cost == pytest.approx(exact, rel=1e-9)
 
+    def test_hmm_selection_fits_each_order_once(self, monkeypatch):
+        # the single-segment fit gives both the K = 1 cost and its verdict
+        import tsseg.selection
+
+        fits = []
+        fit = tsseg.selection._segment_residuals
+
+        def counting_fit(x, t, *args):
+            fits.append(t.order)
+            return fit(x, t, *args)
+
+        monkeypatch.setattr(tsseg.selection, "_segment_residuals", counting_fit)
+        rng = np.random.default_rng(2)
+        x = TimeSeries(np.concatenate(
+            [level + 0.6 * rng.standard_normal(80) for level in (0.0, 4.0, -2.0)]
+        ))
+        report = select_order(x, "hmm", "ar", order=1, k_max=5)
+        assert len(report.records) >= 2
+        assert fits == [r.segmentation.order for r in report.records]
+
     def test_unknown_algorithm(self):
         with pytest.raises(ValueError):
             select_order(self.make_three_levels(), "annealing", "means")
