@@ -371,6 +371,8 @@ def cmd_benchmark(args: argparse.Namespace) -> int:
     sigmas = [float(v) for v in args.sigmas.split(",") if v]
     if not lengths or not sigmas:
         raise UsageError("empty benchmark grid")
+    if args.seed < 0:
+        raise UsageError(f"--seed must be nonnegative, got {args.seed}")
     table = run_benchmark(
         lengths,
         sigmas,

@@ -14,13 +14,12 @@ charged rows u of the window: [1] for means, [1, x_{u-1}, ..., x_{u-L}] for
 ar (the first L rows, whose lags are clamped, are not charged), and
 [1, (t-u), ..., (t-u)^L] for poly, which spans the same polynomials as the
 within-segment offset.  :func:`_design` names these rows once.
-:func:`build_cost_matrix` builds every table from them: it
+:func:`build_cost_matrix` builds the ar and poly tables from them: it
 fills a block of consecutive window ends at a time, indexing each window
 [t-i, t] by its end t and its age i.  The sums of u u', u x and x^2
 over a window are one cumsum along the rows t, t-1, ... of the block's
-ends (a short window is never the difference of two long ones), taken on a
-sliding view of the reversed, zero-padded rows.  Means then takes its
-closed form; ar and poly solve the Jacobi-scaled normal equations, with no
+ends, taken on a sliding view of the reversed, zero-padded rows.  They
+solve the Jacobi-scaled normal equations, with no
 ridge, by one broadcasting Cholesky solve over the whole block (poly's Gram
 matrix depends only on the window length, so it is factored once per
 length and serves every end).  The solve reads only the lower triangle of
@@ -28,6 +27,22 @@ a Gram matrix, so ar sums only that, and a window's cost is its x^2 sum
 less c'r, the explained sum of squares the solve forms anyway; the
 coefficients themselves are never assembled.  That is O(T^2 d^2) work for
 d regressors.
+The means table has its own fill, with anchors at a = M, 2M, ... (M =
+``_M``).  Take the largest anchor a below the end t (a = 0 when t <= M).
+A window [s, t] with s > a lies in the *band*: it has at most M rows, and
+it takes the closed form Q - S^2/n on the sums of its rows from t back.
+Any other window
+(s <= a) is the exact pairwise merge of [s, a] and [a+1, t] (Chan, Golub
+and LeVeque 1983, *Am. Stat.* 37(3)):
+d[s, t] = d[s, a] + d[a+1, t] + n1 n2 / (n1 + n2) (mean_L - mean_R)^2,
+with n1 = a - s + 1 and n2 = t - a.  The left parts [s, a] are one cumsum
+from a back per anchor; the right parts come from the band.  So every sum
+is taken over the window's own rows.  A short window is never the
+difference of two long sums, whose cancellation would lose the digits of
+a window far from the start of a series, and the merge adds only
+nonnegative terms, so no merged window needs a clamp at 0.  The merge is
+five elementwise passes over a tile of windows, where the direct form
+would take two cumsums, each several times dearer than a pass.
 Both segmenters fit a segmentation through :func:`_segment_fits`, on the
 same design rows and by the same solve.  Each model also has a
 direct evaluator (the slow, obviously-correct form) the tables are checked
@@ -60,8 +75,13 @@ _RCOND = 1e-8
 #: Size of a block of the table fill, in windows (window ends times ages)
 #: times regressors: large enough that every numpy operation covers many
 #: windows, small enough that the solve's working arrays stay in cache.
-#: The DP fill (:func:`tsseg.dp._run_dp`) takes blocks of ``_CELLS // T`` ends.
+#: The means merge takes tiles of ``_M`` ends by ``_CELLS // _M`` starts,
+#: and the DP fill (:func:`tsseg.dp._run_dp`) blocks of ``_CELLS // T`` ends.
 _CELLS = 1 << 16
+
+#: Spacing of the means table's anchors, which is also the width of its
+#: band of directly summed windows; see :func:`build_cost_matrix`.
+_M = 32
 
 
 def _admissibility(model: str, order: int) -> tuple[int, int]:
@@ -398,24 +418,30 @@ def _reversed_padded(rows: np.ndarray) -> np.ndarray:
     return np.concatenate([rows[..., ::-1], np.zeros_like(rows)], axis=-1)
 
 
-def _by_age(padded: np.ndarray, t0: int, t1: int) -> np.ndarray:
+def _by_age(
+    padded: np.ndarray, t0: int, t1: int, ages: int | None = None
+) -> np.ndarray:
     """The rows u = t - i of a series, from :func:`_reversed_padded`, for
-    the window ends t = t0..t1 (axis 0) and the ages i = 0..t1-1 (the last
-    axis), as a view.  Ages that reach past the start of the series read 0.
+    the window ends t = t0..t1 (axis 0) and the ages i = 0..``ages``-1 (the
+    last axis; all t1 of them by default), as a view.  Ages that reach past
+    the start of the series read 0.
     """
     T = padded.shape[-1] // 2
-    view = sliding_window_view(padded, t1, axis=-1)[..., T - t1 : T - t0 + 1, :]
-    return np.moveaxis(view, -2, 0)[::-1]
+    view = sliding_window_view(padded, t1 if ages is None else ages, axis=-1)
+    return np.moveaxis(view[..., T - t1 : T - t0 + 1, :], -2, 0)[::-1]
 
 
-def _cumsum_by_age(padded: np.ndarray, t0: int, t1: int) -> np.ndarray:
+def _cumsum_by_age(
+    padded: np.ndarray, t0: int, t1: int, ages: int | None = None
+) -> np.ndarray:
     """Sums of the rows u = t, t-1, ..., t-i, added in that order, for the
-    window ends t = t0..t1 (axis 0) and the ages i = 0..t1-1 (axis 1).
+    window ends t = t0..t1 (axis 0) and the ages i = 0..``ages``-1 (axis 1;
+    all t1 of them by default).
 
     Each entry of a row is stored contiguously along the ages, which is
     the layout the solve reads.
     """
-    view = _by_age(padded, t0, t1)
+    view = _by_age(padded, t0, t1, ages)
     return np.moveaxis(np.cumsum(view, axis=-1, out=np.empty(view.shape)), -1, 1)
 
 
@@ -449,25 +475,100 @@ def _store_by_start(by_end: np.ndarray, cost: np.ndarray, t0: int) -> None:
     )
 
 
+def _means_by_end(xc: np.ndarray) -> np.ndarray:
+    """The means table of the centred series ``xc``, by window end (the
+    band and the anchor merge of :func:`build_cost_matrix`).
+
+    The band is every window of age i < M at every end, which one
+    :func:`_cumsum_by_age` call sums; the merge then overwrites the band
+    windows that start at or before their end's anchor.  The merged
+    windows of one anchor are the rows t = a+1..a+M, columns s = 1..a of
+    the table, filled a tile of ``_CELLS // M`` columns at a time.
+    """
+    T = xc.size
+    m = min(_M, T)
+    lengths = np.arange(1.0, T + 1.0)
+    xx = xc * xc
+    sums = _cumsum_by_age(_reversed_padded(xc), 1, T, m)
+    band = _cumsum_by_age(_reversed_padded(xx), 1, T, m)
+    # the right part [a+1, t] of each end's merged windows: age (t-1) mod M
+    ends = np.arange(T)
+    right = ends % _M
+    mean_right = sums[ends, right] / lengths[right]
+    sums *= sums
+    sums /= lengths[:m]
+    band -= sums
+    band[:, 0] = 0.0
+    np.maximum(band, 0.0, out=band)
+    cost_right = band[ends, right]
+
+    by_end = np.zeros((T, T))
+    # by_end[t-1, t-1-i] = band[t-1, i]: a view whose row stride is one
+    # element longer than by_end's holds the band's rows m-1.. reversed
+    row, col = by_end.strides
+    skew = as_strided(by_end[m - 1 :], (T - m + 1, m), (row + col, col))
+    skew[...] = band[m - 1 :, ::-1]
+    for r in range(m - 1):
+        by_end[r, : r + 1] = band[r, r::-1]
+
+    # weight[j, T-n1] = n1 n2 / (n1 + n2) for the right length n2 = j+1
+    n1 = lengths[::-1]
+    n2 = lengths[:m, None]
+    weight = n1 * n2 / (n1 + n2)
+    width = max(1, _CELLS // _M)
+    tile = np.empty(m * width)
+    for a in range(_M, T, _M):
+        # the left parts [s, a], s = 1..a, summed from a back
+        sum_left, cost_left = np.empty(a), np.empty(a)
+        np.cumsum(xc[a - 1 :: -1], out=sum_left[::-1])
+        np.cumsum(xx[a - 1 :: -1], out=cost_left[::-1])
+        mean_left = sum_left / lengths[a - 1 :: -1]
+        cost_left -= sum_left * mean_left
+        cost_left[-1] = 0.0
+        np.maximum(cost_left, 0.0, out=cost_left)
+        rows = slice(a, min(a + _M, T))
+        b = rows.stop - a
+        for s0 in range(0, a, width):
+            s1 = min(s0 + width, a)
+            # a contiguous view: numpy passes over a strided one run
+            # several times slower
+            out = tile[: b * (s1 - s0)].reshape(b, s1 - s0)
+            np.subtract(mean_left[s0:s1], mean_right[rows, None], out=out)
+            out *= out
+            out *= weight[:b, T - a + s0 : T - a + s1]
+            out += cost_left[s0:s1]
+            np.add(out, cost_right[rows, None], out=by_end[rows, s0:s1])
+    return by_end
+
+
 def build_cost_matrix(
     x: TimeSeries, model: str = "means", order: int | None = None
 ) -> CostMatrix:
-    """Cost table of ``model`` in {means, ar, poly}, filled a block of
-    window ends at a time.
+    """Cost table of ``model`` in {means, ar, poly}.
 
     ``order`` is the lag count of ar and the degree of poly.  The windows
     that :class:`CostMatrix`'s rule flags are stored as 0.
+
+    ar and poly are filled a block of window ends at a time.  Means is
+    filled around anchors a = M, 2M, ... (M = ``_M``): with a the largest
+    anchor below t (or 0), a window [s, t] with s > a is in the band and takes
+    Q - S^2/n on the sums of its own rows from t back; a window with
+    s <= a is the exact pairwise merge (Chan, Golub and LeVeque 1983)
+    d[s, a] + d[a+1, t] + n1 n2 / (n1 + n2) (mean_L - mean_R)^2 of its
+    parts, the left one summed from a back and the right one from the
+    band.  No window is the difference of two long sums, which would lose
+    the digits of a short window far from the series start.
     """
     T = len(x)
-    if model == "means":
-        order = 0
-    elif order is None:
-        raise ValueError(f"cost model {model!r} needs an order")
-    elif T <= order + 1:
-        raise ValueError(f"series of length {T} too short for order {order}")
     # Centring x (the intercept absorbs it); ar rows are indexed by the
-    # time u, means and poly rows by the age t - u.
+    # time u, poly rows by the age t - u.
     xc = x.values - x.values.mean()
+    if model == "means":
+        return CostMatrix(by_end=_means_by_end(xc), model_tag=model)
+    if order is None:
+        raise ValueError(f"cost model {model!r} needs an order")
+    if T <= order + 1:
+        raise ValueError(f"series of length {T} too short for order {order}")
     design, first = _design(xc, model, order, np.arange(float(T)))
     weight = np.ones(T)
     weight[:first] = 0.0

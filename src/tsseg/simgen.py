@@ -49,8 +49,8 @@ class GenSpec:
             raise ValueError("p must lie strictly between 0 and 1")
         if len(self.means) != self.K:
             raise ValueError("means must have length K")
-        if self.sigma < 0.0:
-            raise ValueError("sigma must be nonnegative")
+        if not 0.0 <= self.sigma < np.inf:  # also rejects NaN
+            raise ValueError(f"sigma must be finite and nonnegative, got {self.sigma}")
 
 
 def generate(spec: GenSpec) -> tuple[TimeSeries, Segmentation]:

@@ -420,8 +420,12 @@ def test_benchmark_csv_option_writes_the_file_and_prints_tables(tmp_path, capsys
         (["--lengths", ""], "empty benchmark grid"),
         (["--lengths", "30", "--replicates", "0"], "replicates must be >= 1"),
         (["--lengths", "5"], "expected length must exceed the number of states"),
+        (["--lengths", "30", "--sigmas", "nan"], "sigma must be finite"),
+        (["--lengths", "30", "--sigmas", "0.5,inf"], "sigma must be finite"),
+        (["--lengths", "30", "--seed", "-1"], "--seed must be nonnegative"),
     ],
-    ids=["empty-lengths", "no-replicates", "length-at-K"],
+    ids=["empty-lengths", "no-replicates", "length-at-K", "nan-sigma",
+         "infinite-sigma", "negative-seed"],
 )
 def test_benchmark_exit_1_on_a_bad_grid(capsys, args, message):
     assert main(["benchmark", "--sigmas", "0", *args]) == 1

@@ -78,6 +78,42 @@ class TestMeansMatrix:
         assert cm.by_end[np.tri(30, dtype=bool)].min() >= 0.0
 
 
+M = costs._M  # the means fill's anchor spacing and band width
+
+
+class TestMeansFillEdges:
+    """The means fill below its first anchor M, at it, just past it, and
+    over several anchors."""
+
+    @pytest.mark.parametrize("T", [1, M - 1, M, M + 1, 3 * M + 5])
+    def test_every_window_and_the_triangles(self, T):
+        rng = np.random.default_rng(T)
+        x = TimeSeries(rng.standard_normal(T) * 3.0 + 7.0)
+        by_end = build_cost_matrix(x).by_end
+        for t in range(1, T + 1):
+            for s in range(1, t + 1):
+                direct = means_cost_direct(x, s, t)
+                assert abs(by_end[t - 1, s - 1] - direct) <= 1e-9 * (1.0 + direct)
+        assert np.all(np.diag(by_end) == 0.0)
+        assert by_end[np.tri(T, dtype=bool)].min() >= 0.0
+        assert not np.triu(by_end, 1).any()
+
+    @pytest.mark.parametrize("T", [1, M - 1, M, M + 1, 3 * M + 5])
+    def test_dp_finds_a_one_point_segment(self, T):
+        # a noiseless +1/-1/+1 series whose -1 is one point, just past the
+        # first anchor when the series reaches it
+        values = np.ones(T)
+        if T == 1:
+            truth = (0, 1)
+        else:
+            point = min(M, T - 2)
+            values[point] = -1.0
+            truth = (0, point, point + 1, T)
+        K = len(truth) - 1
+        result = dp_segment(build_cost_matrix(TimeSeries(values)), K)[K - 1]
+        assert result.segmentation.change_points == truth
+
+
 class TestArExact:
     def test_noiseless_ar1(self):
         x = make_ar1(30)
@@ -350,19 +386,36 @@ class TestGroupFit:
 
 
 def means_columns(values):
-    """The means table one window end at a time: for each t, sums over the
-    rows t, t-1, ..., 1 and the closed form, as the block fill computes it."""
+    """The means table one window end at a time, by the fill's rule.  With a
+    the largest multiple of M below t, a window [s, t] with s > a takes the
+    closed form on the sums of its rows t, t-1, ..., s; any other window is
+    the merge of [s, a], summed from a back, and [a+1, t]."""
     x = values - values.mean()
     T = x.size
     by_end = np.zeros((T, T))
     lengths = np.arange(1.0, T + 1.0)
     for t in range(1, T + 1):
+        a = (t - 1) // M * M
         rows = x[t - 1 :: -1]
+        sums = np.cumsum(rows)
         cost = np.cumsum(rows * rows)
-        b = np.cumsum(rows)
-        cost -= b * b / lengths[:t]
+        cost -= sums * sums / lengths[:t]
         cost[0] = 0.0
-        by_end[t - 1, :t] = np.maximum(cost, 0.0)[::-1]
+        cost = np.maximum(cost, 0.0)
+        by_end[t - 1, a:t] = cost[: t - a][::-1]
+        if a == 0:
+            continue
+        n2 = t - a
+        left = x[a - 1 :: -1]
+        sum_left = np.cumsum(left)
+        cost_left = np.cumsum(left * left)
+        mean_left = sum_left / lengths[:a]
+        cost_left -= sum_left * mean_left
+        cost_left[0] = 0.0
+        cost_left = np.maximum(cost_left, 0.0)
+        weight = lengths[:a] * n2 / (lengths[:a] + n2)
+        merged = (mean_left - sums[n2 - 1] / n2) ** 2 * weight + cost_left
+        by_end[t - 1, :a] = (merged + cost[n2 - 1])[::-1]
     return by_end
 
 
