@@ -14,7 +14,8 @@ charged rows u of the window: [1] for means, [1, x_{u-1}, ..., x_{u-L}] for
 ar (the first L rows, whose lags are clamped, are not charged), and
 [1, (t-u), ..., (t-u)^L] for poly, which spans the same polynomials as the
 within-segment offset.  :func:`_design` names these rows once.
-:func:`build_cost_matrix` builds the ar and poly tables from them: it
+:func:`build_cost_matrix` builds the ar and poly tables of order >= 1
+from them (at order 0 the design is [1] and the table is the means one): it
 fills a block of consecutive window ends at a time, indexing each window
 [t-i, t] by its end t and its age i.  The sums of u u', u x and x^2
 over a window are one cumsum along the rows t, t-1, ... of the block's
@@ -549,10 +550,11 @@ def build_cost_matrix(
     ``order`` is the lag count of ar and the degree of poly.  The windows
     that :class:`CostMatrix`'s rule flags are stored as 0.
 
-    ar and poly are filled a block of window ends at a time.  Means is
+    ar and poly are filled a block of window ends at a time.  Means, and
+    ar and poly of order 0 (design [1]: their table is the means one), are
     filled around anchors a = M, 2M, ... (M = ``_M``): with a the largest
-    anchor below t (or 0), a window [s, t] with s > a is in the band and takes
-    Q - S^2/n on the sums of its own rows from t back; a window with
+    anchor below t (or 0), a window [s, t] with s > a is in the band and
+    takes Q - S^2/n on the sums of its own rows from t back; a window with
     s <= a is the exact pairwise merge (Chan, Golub and LeVeque 1983)
     d[s, a] + d[a+1, t] + n1 n2 / (n1 + n2) (mean_L - mean_R)^2 of its
     parts, the left one summed from a back and the right one from the
@@ -570,11 +572,12 @@ def build_cost_matrix(
     if T <= order + 1:
         raise ValueError(f"series of length {T} too short for order {order}")
     design, first = _design(xc, model, order, np.arange(float(T)))
+    if design.shape[1] == 1:  # order 0: the design [1] charges every row
+        return CostMatrix(by_end=_means_by_end(xc), model_tag=model, order=order)
     weight = np.ones(T)
     weight[:first] = 0.0
     d = design.shape[1]
     wx = weight * xc
-    padded_wx = _reversed_padded(wx)
     padded_wxx = _reversed_padded(wx * xc)
     if model == "ar":
         # the Gram matrix is symmetric, so only its lower triangle is summed
@@ -582,12 +585,12 @@ def build_cost_matrix(
         lower = np.tril_indices(d)
         padded_lower = _reversed_padded(u[lower[0]] * u[lower[1]] * weight)
         padded_rhs = _reversed_padded(u * wx)
-    elif d > 1:
+    else:
         by_length = np.cumsum(design[:, :, None] * design[:, None, :], axis=0)
+        padded_wx = _reversed_padded(wx)
     # A window [t-i, t] is identified when it has more than d charged rows:
     # when i >= d, at the ends t >= first_end.
     first_end = _admissibility(model, order)[1]
-    lengths = np.arange(1.0, T + 1.0)
 
     by_end = np.zeros((T, T))
     rows = max(1, _CELLS // (T * d))
@@ -595,29 +598,23 @@ def build_cost_matrix(
         t1 = min(t0 + rows - 1, T)
         unidentified = max(0, first_end - t0)  # the block's ends t < first_end
         cost = _cumsum_by_age(padded_wxx, t0, t1)
-        if d == 1:  # the design is [1] and every row is charged
-            b = _cumsum_by_age(padded_wx, t0, t1)
-            b *= b
-            b /= lengths[:t1]
-            cost -= b
+        if model == "ar":
+            gram = _gram_by_age(padded_lower, d, t0, t1)[:, d:]
+            rhs = _cumsum_by_age(padded_rhs, t0, t1)[:, d:]
+            # the windows past the series start and the ends without an
+            # identified window are dropped, so they may be singular but
+            # must not take the fallback
+            drop = np.arange(d, t1) >= np.arange(t0, t1 + 1)[:, None]
+            drop[:unidentified] = True
         else:
-            if model == "ar":
-                gram = _gram_by_age(padded_lower, d, t0, t1)[:, d:]
-                rhs = _cumsum_by_age(padded_rhs, t0, t1)[:, d:]
-                # the windows past the series start and the ends without
-                # an identified window are dropped, so they may be
-                # singular but must not take the fallback
-                drop = np.arange(d, t1) >= np.arange(t0, t1 + 1)[:, None]
-                drop[:unidentified] = True
-            else:
-                # one Gram matrix per length, positive definite past
-                # length d, so the windows past the series start solve
-                # without the fallback (and are dropped)
-                gram = by_length[d:t1]
-                xs = _by_age(padded_wx, t0, t1)[:, None, :] * design[:t1].T
-                rhs = np.moveaxis(np.cumsum(xs, axis=-1), -1, 1)[:, d:]
-                drop = None
-            cost[:, d:] -= _lsq(gram, rhs, drop)[2]
+            # one Gram matrix per length, positive definite past length d,
+            # so the windows past the series start solve without the
+            # fallback (and are dropped)
+            gram = by_length[d:t1]
+            xs = _by_age(padded_wx, t0, t1)[:, None, :] * design[:t1].T
+            rhs = np.moveaxis(np.cumsum(xs, axis=-1), -1, 1)[:, d:]
+            drop = None
+        cost[:, d:] -= _lsq(gram, rhs, drop)[2]
         cost[:, :d] = 0.0
         cost[:unidentified] = 0.0
         np.maximum(cost, 0.0, out=cost)

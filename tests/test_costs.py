@@ -39,6 +39,9 @@ class TestMeansCostDirect:
             means_cost_direct(TimeSeries([1, 2]), 0, 2)
 
 
+M = costs._M  # the means fill's anchor spacing and band width
+
+
 class TestMeansMatrix:
     def test_length_one(self):
         cm = build_cost_matrix(TimeSeries([5.0]))
@@ -51,13 +54,16 @@ class TestMeansMatrix:
         assert cm.by_end[3, 2] == 0.0
 
     def test_matches_direct_everywhere(self):
+        # below the fill's first anchor M, at it, just past it, and over
+        # several anchors
         rng = np.random.default_rng(11)
-        x = TimeSeries(rng.standard_normal(50) * 3.0 + 1.0)
-        cm = build_cost_matrix(x)
-        for t in range(1, 51):
-            for s in range(1, t + 1):
-                direct = means_cost_direct(x, s, t)
-                assert abs(cm.by_end[t - 1, s - 1] - direct) <= 1e-9 * (1.0 + direct)
+        for T in [50, 1, M - 1, M, M + 1, 3 * M + 5]:
+            x = TimeSeries(rng.standard_normal(T) * 3.0 + 1.0)
+            cm = build_cost_matrix(x)
+            for t in range(1, T + 1):
+                for s in range(1, t + 1):
+                    direct = means_cost_direct(x, s, t)
+                    assert abs(cm.by_end[t - 1, s - 1] - direct) <= 1e-9 * (1.0 + direct)
 
     def test_nesting(self):
         # widening a window can never lower the within-window deviation
@@ -72,31 +78,17 @@ class TestMeansMatrix:
 
     def test_diagonal_zero_and_nonnegative(self):
         rng = np.random.default_rng(5)
-        x = TimeSeries(rng.standard_normal(30))
-        cm = build_cost_matrix(x)
-        assert np.all(np.diag(cm.by_end) == 0.0)
-        assert cm.by_end[np.tri(30, dtype=bool)].min() >= 0.0
-
-
-M = costs._M  # the means fill's anchor spacing and band width
+        for T in [30, 1, M - 1, M, M + 1, 3 * M + 5]:
+            x = TimeSeries(rng.standard_normal(T))
+            cm = build_cost_matrix(x)
+            assert np.all(np.diag(cm.by_end) == 0.0)
+            assert cm.by_end[np.tri(T, dtype=bool)].min() >= 0.0
+            assert not np.triu(cm.by_end, 1).any()
 
 
 class TestMeansFillEdges:
     """The means fill below its first anchor M, at it, just past it, and
     over several anchors."""
-
-    @pytest.mark.parametrize("T", [1, M - 1, M, M + 1, 3 * M + 5])
-    def test_every_window_and_the_triangles(self, T):
-        rng = np.random.default_rng(T)
-        x = TimeSeries(rng.standard_normal(T) * 3.0 + 7.0)
-        by_end = build_cost_matrix(x).by_end
-        for t in range(1, T + 1):
-            for s in range(1, t + 1):
-                direct = means_cost_direct(x, s, t)
-                assert abs(by_end[t - 1, s - 1] - direct) <= 1e-9 * (1.0 + direct)
-        assert np.all(np.diag(by_end) == 0.0)
-        assert by_end[np.tri(T, dtype=bool)].min() >= 0.0
-        assert not np.triu(by_end, 1).any()
 
     @pytest.mark.parametrize("T", [1, M - 1, M, M + 1, 3 * M + 5])
     def test_dp_finds_a_one_point_segment(self, T):
