@@ -59,65 +59,26 @@ class DataError(Exception):
 def _parse_cost_model(text: str) -> tuple[str, int]:
     """(model, order) from means, ar(L) or poly(L); L defaults to 3 for ar
     and to 1 otherwise."""
-    m = re.fullmatch(r"(means|ar|poly)(?:[:(](\d+)\)?)?", text.strip())
+    m = re.fullmatch(r"(ar|poly)(?:\((\d+)\)|:(\d+))?|means", text.strip())
     if not m:
         raise UsageError(
             f"bad cost model {text!r}; expected means, ar(L) or poly(L)"
         )
-    tag, order = m.group(1), m.group(2)
+    tag, order = m.group(1) or "means", m.group(2) or m.group(3)
     return tag, (int(order) if order is not None else (3 if tag == "ar" else 1))
 
 
-def _parse_rows(
-    path: str, raw_lines: list[str], delimiter: str, value_column: int,
-    label_column: int | None,
-) -> tuple[list[float], list[int]]:
-    """Row-by-row parse of :func:`ingest_csv`: skips a header row and names
-    the line of a bad cell (not a number, a value that is not finite, a
-    label that is not an int64)."""
-    rows = [
-        (lineno, line.rstrip("\n"))
-        for lineno, line in enumerate(raw_lines, start=1)
-        if line.strip()
-    ]
-    values: list[float] = []
-    labels: list[int] = []
-    for pos, (lineno, line) in enumerate(rows):
-        cells = [c.strip() for c in line.split(delimiter)]
-        wanted = [value_column] + ([label_column] if label_column else [])
-        if max(wanted) > len(cells):
-            raise DataError(
-                f"{path}:{lineno}: expected at least {max(wanted)} columns, "
-                f"found {len(cells)}"
-            )
-        numbers = []
+def _row_problem(cells: list[str], wanted: list[int]) -> str | None:
+    """Why a split row does not parse: too few cells, or the first of the
+    ``wanted`` (1-based) cells that is not a number; None if it parses."""
+    if max(wanted) > len(cells):
+        return f"expected at least {max(wanted)} columns, found {len(cells)}"
+    for column in wanted:
         try:
-            for column in wanted:
-                cell = cells[column - 1]
-                numbers.append(float(cell))
+            float(cells[column - 1])
         except ValueError:
-            if pos == 0:
-                continue  # header row
-            raise DataError(f"{path}:{lineno}: non-numeric cell {cell!r}") from None
-        if not math.isfinite(numbers[0]):
-            raise DataError(
-                f"{path}:{lineno}: non-finite value {cells[value_column - 1]!r}"
-            )
-        values.append(numbers[0])
-        if label_column:
-            label = numbers[1]
-            problem = (
-                "non-finite" if not math.isfinite(label)
-                else "non-integer" if not label.is_integer()
-                else "out-of-range" if abs(label) >= 2.0**63  # not an int64
-                else None
-            )
-            if problem:
-                raise DataError(
-                    f"{path}:{lineno}: {problem} label {cells[label_column - 1]!r}"
-                )
-            labels.append(int(label))
-    return values, labels
+            return f"non-numeric cell {cells[column - 1].strip()!r}"
+    return None
 
 
 def ingest_csv(
@@ -125,10 +86,15 @@ def ingest_csv(
 ) -> TimeSeries:
     """Read a comma- or tab-separated series; columns are 1-based.
 
-    A single leading row whose selected cells do not parse as numbers is
-    treated as a header and skipped.  Any other non-numeric cell, a value
-    that is not finite and a label that is not an int64 are data errors
-    reported with their line number.
+    A first row whose selected cells do not all parse as numbers is a
+    header and is skipped; a first row too short to hold them is a data
+    error.  Every other row is a data error, named by its line number and
+    its stripped cell, when it is short or holds a cell that is not a
+    number, a value that is not finite, or a label that is not finite, not
+    an integer or outside int64.  When a file breaks several of these
+    rules, the first rule in that order that any row breaks is reported,
+    at the first row that breaks it; a short row and a non-numeric cell
+    count as one rule.
     """
     for name, column in (("value", value_column), ("label", label_column)):
         if column is not None and column < 1:
@@ -142,26 +108,37 @@ def ingest_csv(
     if not lines:
         raise DataError(f"{path}: no data rows")
     delimiter = "\t" if "\t" in lines[0] else ","
+    wanted = [value_column] + ([label_column] if label_column else [])
+
+    split = [line.split(delimiter) for line in lines]
+    first = split[0]
+    header = len(first) >= max(wanted) and _row_problem(first, wanted) is not None
+    rows = split[header:]
+
+    def bad_row(i: int, problem: str) -> DataError:
+        linenos = [n for n, line in enumerate(raw_lines, start=1) if line.strip()]
+        return DataError(f"{path}:{linenos[header + i]}: {problem}")
 
     # float() ignores the whitespace around a cell, so the cells need no strip
-    split = [line.split(delimiter) for line in lines]
     try:
-        values = np.array([float(cells[value_column - 1]) for cells in split])
+        values = np.array([float(cells[value_column - 1]) for cells in rows])
         labels = np.array(
-            [float(cells[label_column - 1]) for cells in split] if label_column else []
-        )
-        parsed = (
-            np.isfinite(values).all() and (np.abs(labels) < 2.0**63).all()
-            and (labels == np.round(labels)).all()
+            [float(cells[label_column - 1]) for cells in rows] if label_column else []
         )
     except (ValueError, IndexError):
-        parsed = False
-    if not parsed:
-        # a header row or a bad line: the row-by-row parse skips or names it
-        values, labels = _parse_rows(
-            path, raw_lines, delimiter, value_column, label_column
-        )
-        values, labels = np.array(values), np.array(labels)
+        for i, cells in enumerate(rows):
+            if problem := _row_problem(cells, wanted):
+                raise bad_row(i, problem) from None
+        raise
+    for problem, column, bad in (
+        ("non-finite value", value_column, ~np.isfinite(values)),
+        ("non-finite label", label_column, ~np.isfinite(labels)),
+        ("non-integer label", label_column, labels != np.round(labels)),
+        ("out-of-range label", label_column, np.abs(labels) >= 2.0**63),  # not int64
+    ):
+        if bad.any():
+            i = int(bad.argmax())
+            raise bad_row(i, f"{problem} {rows[i][column - 1].strip()!r}")
     if not values.size:
         raise DataError(f"{path}: no numeric rows")
     try:
@@ -226,14 +203,20 @@ def _trace_payload(trace: EmTrace) -> list[dict]:
 
 
 def _selection_payload(report: SelectionReport) -> dict:
+    """The attempts of order selection; a statistic or threshold that is
+    not finite (an order with no contrast to test, or an infinite
+    contrast) is written as null."""
+    def finite(v: float) -> float | None:
+        return v if math.isfinite(v) else None
+
     return {
         "chosen_order": report.chosen_order,
         "attempts": [
             {
                 "order": r.order,
                 "significant": r.significant,
-                "statistic": r.statistic,
-                "threshold": r.threshold,
+                "statistic": finite(r.statistic),
+                "threshold": finite(r.threshold),
                 "cost": r.cost,
                 "collapsed": r.collapsed,
                 "change_points": list(r.segmentation.change_points),
@@ -243,23 +226,14 @@ def _selection_payload(report: SelectionReport) -> dict:
     }
 
 
-def _jsonify(obj):
-    if isinstance(obj, dict):
-        return {k: _jsonify(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonify(v) for v in obj]
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, float) and not np.isfinite(obj):
-        return None
-    return obj
-
-
 def cmd_segment(args: argparse.Namespace) -> int:
     """Runs ``segment`` on the arguments :func:`build_parser` parsed."""
     model, order = _parse_cost_model(args.cost)
+    for name, value in (("p", args.p), ("alpha", args.alpha)):
+        if not 0.0 < value < 1.0:
+            raise UsageError(
+                f"--{name} must lie strictly between 0 and 1, got {value}"
+            )
     x = ingest_csv(args.input, args.value_col, args.label_col)
     if args.K is None and not args.select_order:
         raise UsageError("--K is required unless --select-order is given")
@@ -336,7 +310,11 @@ def cmd_segment(args: argparse.Namespace) -> int:
     if selection is not None:
         report["selection"] = _selection_payload(selection)
 
-    text = json.dumps(_jsonify(report), indent=2, sort_keys=True) + "\n"
+    try:
+        text = json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    except ValueError as exc:  # a fit overflowed: JSON has no inf or nan
+        raise RuntimeError(f"a number in the report is not finite: {exc}") from exc
+
     if args.json:
         with open(args.json, "w", encoding="utf-8") as fh:
             fh.write(text)

@@ -419,30 +419,24 @@ def _reversed_padded(rows: np.ndarray) -> np.ndarray:
     return np.concatenate([rows[..., ::-1], np.zeros_like(rows)], axis=-1)
 
 
-def _by_age(
-    padded: np.ndarray, t0: int, t1: int, ages: int | None = None
-) -> np.ndarray:
+def _by_age(padded: np.ndarray, t0: int, t1: int) -> np.ndarray:
     """The rows u = t - i of a series, from :func:`_reversed_padded`, for
-    the window ends t = t0..t1 (axis 0) and the ages i = 0..``ages``-1 (the
-    last axis; all t1 of them by default), as a view.  Ages that reach past
-    the start of the series read 0.
+    the window ends t = t0..t1 (axis 0) and the ages i = 0..t1-1 (the last
+    axis), as a view.  Ages that reach past the start of the series read 0.
     """
     T = padded.shape[-1] // 2
-    view = sliding_window_view(padded, t1 if ages is None else ages, axis=-1)
+    view = sliding_window_view(padded, t1, axis=-1)
     return np.moveaxis(view[..., T - t1 : T - t0 + 1, :], -2, 0)[::-1]
 
 
-def _cumsum_by_age(
-    padded: np.ndarray, t0: int, t1: int, ages: int | None = None
-) -> np.ndarray:
+def _cumsum_by_age(padded: np.ndarray, t0: int, t1: int) -> np.ndarray:
     """Sums of the rows u = t, t-1, ..., t-i, added in that order, for the
-    window ends t = t0..t1 (axis 0) and the ages i = 0..``ages``-1 (axis 1;
-    all t1 of them by default).
+    window ends t = t0..t1 (axis 0) and the ages i = 0..t1-1 (axis 1).
 
     Each entry of a row is stored contiguously along the ages, which is
     the layout the solve reads.
     """
-    view = _by_age(padded, t0, t1, ages)
+    view = _by_age(padded, t0, t1)
     return np.moveaxis(np.cumsum(view, axis=-1, out=np.empty(view.shape)), -1, 1)
 
 
@@ -476,12 +470,26 @@ def _store_by_start(by_end: np.ndarray, cost: np.ndarray, t0: int) -> None:
     )
 
 
+def _sums_by_age(v: np.ndarray, m: int) -> np.ndarray:
+    """Sums of the rows u = t, t-1, ..., t-i of ``v``, added in that order,
+    for every end t (axis 0) and the ages i = 0..m-1 (axis 1); rows before
+    the start of the series add 0.  One vector add per age: a cumsum along
+    rows this short would pay numpy's per-row overhead."""
+    T = v.size
+    padded = np.concatenate([np.zeros(m - 1), v])
+    sums = np.empty((m, T))
+    sums[0] = v
+    for i in range(1, m):
+        np.add(sums[i - 1], padded[m - 1 - i : m - 1 - i + T], out=sums[i])
+    return sums.T
+
+
 def _means_by_end(xc: np.ndarray) -> np.ndarray:
     """The means table of the centred series ``xc``, by window end (the
-    band and the anchor merge of :func:`build_cost_matrix`).
+    band and the anchor merge of the module docstring).
 
-    The band is every window of age i < M at every end, which one
-    :func:`_cumsum_by_age` call sums; the merge then overwrites the band
+    The band is every window of age i < M at every end, which
+    :func:`_sums_by_age` sums; the merge then overwrites the band
     windows that start at or before their end's anchor.  The merged
     windows of one anchor are the rows t = a+1..a+M, columns s = 1..a of
     the table, filled a tile of ``_CELLS // M`` columns at a time.
@@ -490,8 +498,7 @@ def _means_by_end(xc: np.ndarray) -> np.ndarray:
     m = min(_M, T)
     lengths = np.arange(1.0, T + 1.0)
     xx = xc * xc
-    sums = _cumsum_by_age(_reversed_padded(xc), 1, T, m)
-    band = _cumsum_by_age(_reversed_padded(xx), 1, T, m)
+    sums, band = _sums_by_age(xc, m), _sums_by_age(xx, m)
     # the right part [a+1, t] of each end's merged windows: age (t-1) mod M
     ends = np.arange(T)
     right = ends % _M
@@ -551,15 +558,8 @@ def build_cost_matrix(
     that :class:`CostMatrix`'s rule flags are stored as 0.
 
     ar and poly are filled a block of window ends at a time.  Means, and
-    ar and poly of order 0 (design [1]: their table is the means one), are
-    filled around anchors a = M, 2M, ... (M = ``_M``): with a the largest
-    anchor below t (or 0), a window [s, t] with s > a is in the band and
-    takes Q - S^2/n on the sums of its own rows from t back; a window with
-    s <= a is the exact pairwise merge (Chan, Golub and LeVeque 1983)
-    d[s, a] + d[a+1, t] + n1 n2 / (n1 + n2) (mean_L - mean_R)^2 of its
-    parts, the left one summed from a back and the right one from the
-    band.  No window is the difference of two long sums, which would lose
-    the digits of a short window far from the series start.
+    ar and poly of order 0 (design [1]: their table is the means one), take
+    the band-and-anchor fill that the module docstring describes.
     """
     T = len(x)
     # Centring x (the intercept absorbs it); ar rows are indexed by the

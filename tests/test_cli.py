@@ -12,7 +12,7 @@ from tsseg import (
     run_benchmark,
     segment_stats,
 )
-from tsseg.cli import _parse_rows, ingest_csv, main
+from tsseg.cli import ingest_csv, main
 
 
 def ar1_series(seed, levels, n=120, phi=0.6, noise=0.3):
@@ -99,6 +99,16 @@ def test_exit_0_on_success(tmp_path, capsys):
         (["--K", "2", "--value-col", "0"], "--value-col must be at least 1"),
         (["--K", "2", "--value-col", "-1"], "--value-col must be at least 1"),
         (["--K", "2", "--label-col", "0"], "--label-col must be at least 1"),
+        # an unbalanced bracket, or an order that means has none of
+        (["--K", "2", "--cost", "ar(2"], "bad cost model"),
+        (["--K", "2", "--cost", "poly(1"], "bad cost model"),
+        (["--K", "2", "--cost", "means(3)"], "bad cost model"),
+        (["--K", "2", "--cost", "means:3"], "bad cost model"),
+        # checked even where the run does not read them
+        (["--algo", "dp", "--K", "2", "--p", "nan"], "--p must lie strictly between"),
+        (["--algo", "dp", "--K", "2", "--p", "1"], "--p must lie strictly between"),
+        (["--algo", "dp", "--K", "2", "--alpha", "0"],
+         "--alpha must lie strictly between"),
     ],
 )
 def test_exit_1_on_usage_errors(tmp_path, capsys, args, message):
@@ -133,18 +143,26 @@ INGEST_FILES = {
 }
 
 
+def parse_rows(raw_lines, delimiter, value_col, label_col, header):
+    """The reference parse, one row at a time: values and labels of the
+    non-blank rows, less the first one if it is a header."""
+    values, labels = [], []
+    rows = [line.split(delimiter) for line in raw_lines if line.strip()]
+    for cells in rows[header:]:
+        values.append(float(cells[value_col - 1].strip()))
+        if label_col:
+            labels.append(int(float(cells[label_col - 1].strip())))
+    return values, labels
+
+
 @pytest.mark.parametrize("name", list(INGEST_FILES))
-def test_ingest_matches_the_row_by_row_parse(tmp_path, monkeypatch, name):
+def test_ingest_matches_the_row_by_row_parse(tmp_path, name):
     text, delimiter, value_col, label_col, header = INGEST_FILES[name]
     path = tmp_path / "series.csv"
     path.write_bytes(text.encode())
     with open(path, encoding="utf-8") as fh:
         raw_lines = fh.readlines()
-    values, labels = _parse_rows(str(path), raw_lines, delimiter, value_col, label_col)
-    if not header:  # the one-pass parse reads the file on its own
-        def no_fallback(*args):
-            raise AssertionError("the row-by-row parse ran")
-        monkeypatch.setattr("tsseg.cli._parse_rows", no_fallback)
+    values, labels = parse_rows(raw_lines, delimiter, value_col, label_col, header)
     x = ingest_csv(str(path), value_col, label_col)
     assert x.values.tobytes() == np.array(values).tobytes()
     if label_col is None:
@@ -165,6 +183,16 @@ def test_ingest_matches_the_row_by_row_parse(tmp_path, monkeypatch, name):
         ("1.0,1990.7\n2.0,1991\n3.0,1992\n4.0,1993\n", 2,
          "series.csv:1: non-integer label '1990.7'"),
         ("1.0,1e19\n2.0,2e19\n", 2, "series.csv:1: out-of-range label '1e19'"),
+        # a first row too short to be a header is a short row
+        ("flow\n1.0,1990\n", 2, "series.csv:1: expected at least 2 columns, found 1"),
+        # several bad rows: the first rule that any row breaks is reported,
+        # in the order short or non-numeric, value, label, at its first row
+        ("1.0,1e19\n2.0,1990.5\n3.0,inf\ninf,1992\n5.0,oops\n", 2,
+         "series.csv:5: non-numeric cell 'oops'"),
+        ("1.0,1e19\n2.0,1990.5\n3.0,inf\ninf,1992\n", 2,
+         "series.csv:4: non-finite value 'inf'"),
+        ("1.0,1e19\n2.0,1990.5\n3.0,inf\n", 2, "series.csv:3: non-finite label 'inf'"),
+        ("1.0,1e19\n2.0,1990.5\n", 2, "series.csv:2: non-integer label '1990.5'"),
     ],
 )
 def test_ingest_names_the_line_of_a_bad_cell(tmp_path, text, label_col, message):
@@ -332,6 +360,23 @@ def test_report_keys_of_a_select_order_run(tmp_path):
             "order", "significant", "statistic", "threshold", "cost", "collapsed",
             "change_points",
         }
+
+
+def test_report_is_strict_json_with_an_infinite_statistic_as_null(tmp_path):
+    # the order-2 split [0, 0 | 5] has no within-segment spread, so its
+    # contrast statistic is infinite
+    out = tmp_path / "report.json"
+    rc = run(tmp_path, "0\n0\n5\n", "--algo", "dp", "--select-order",
+             "--K-max", "3", "--json", str(out))
+    assert rc == 0
+
+    def no_constants(name):
+        raise AssertionError(f"the report holds {name}, which JSON does not allow")
+
+    report = json.loads(out.read_text(), parse_constant=no_constants)
+    attempt = report["selection"]["attempts"][0]
+    assert attempt["order"] == 2 and attempt["change_points"] == [0, 2, 3]
+    assert attempt["statistic"] is None and attempt["threshold"] > 0
 
 
 @pytest.mark.parametrize(
