@@ -90,8 +90,9 @@ def ingest_csv(
     header and is skipped; a first row too short to hold them is a data
     error.  Every other row is a data error, named by its line number and
     its stripped cell, when it is short or holds a cell that is not a
-    number, a value that is not finite, or a label that is not finite, not
-    an integer or outside int64.  When a file breaks several of these
+    number, a value that is not finite or too large (|x| >= sqrt(max float)
+    / 2T would overflow a sum of squares), or a label that is not finite,
+    not an integer or outside int64.  When a file breaks several of these
     rules, the first rule in that order that any row breaks is reported,
     at the first row that breaks it; a short row and a non-numeric cell
     count as one rule.
@@ -130,8 +131,11 @@ def ingest_csv(
             if problem := _row_problem(cells, wanted):
                 raise bad_row(i, problem) from None
         raise
+    limit = np.sqrt(np.finfo(float).max) / (2 * max(values.size, 1))
     for problem, column, bad in (
         ("non-finite value", value_column, ~np.isfinite(values)),
+        (f"value too large (|x| >= {limit:.3g} overflows the sums of squares)",
+         value_column, np.abs(values) >= limit),
         ("non-finite label", label_column, ~np.isfinite(labels)),
         ("non-integer label", label_column, labels != np.round(labels)),
         ("out-of-range label", label_column, np.abs(labels) >= 2.0**63),  # not int64

@@ -77,7 +77,7 @@ _RCOND = 1e-8
 #: times regressors: large enough that every numpy operation covers many
 #: windows, small enough that the solve's working arrays stay in cache.
 #: The means merge takes tiles of ``_M`` ends by ``_CELLS // _M`` starts,
-#: and the DP fill (:func:`tsseg.dp._run_dp`) blocks of ``_CELLS // T`` ends.
+#: and the DP fill (:func:`tsseg.dp._run_dp`) blocks of min(64, 2 _CELLS / T) ends.
 _CELLS = 1 << 16
 
 #: Spacing of the means table's anchors, which is also the width of its

@@ -180,6 +180,8 @@ def test_ingest_matches_the_row_by_row_parse(tmp_path, name):
         ("1.0,1990\n2.0,inf\n", 2, "series.csv:2: non-finite label 'inf'"),
         ("1.0,1990\n2.0,nan\n", 2, "series.csv:2: non-finite label 'nan'"),
         ("1.0\n2.0\ninf\n4.0\n", None, "series.csv:3: non-finite value 'inf'"),
+        ("1.0\n-1e200\n", None, "series.csv:2: value too large"),
+        ("1.0\n-1e200\ninf\n", None, "series.csv:3: non-finite value 'inf'"),
         ("1.0,1990.7\n2.0,1991\n3.0,1992\n4.0,1993\n", 2,
          "series.csv:1: non-integer label '1990.7'"),
         ("1.0,1e19\n2.0,2e19\n", 2, "series.csv:1: out-of-range label '1e19'"),
@@ -215,6 +217,38 @@ def test_exit_2_on_an_infinite_value_names_its_line(tmp_path, capsys):
     assert capsys.readouterr().err == (
         "data error: " + str(tmp_path / "series.csv") + ":3: non-finite value 'inf'\n"
     )
+
+
+#: 20 finite values whose squares overflow a sum of squares over the series
+OVERFLOWING = {
+    "random signs": np.random.default_rng(0).choice([-1.0, 1.0], 20) * 1e200,
+    "alternating": 1e200 * (-1.0) ** np.arange(20),
+}
+RUNS = [
+    ["--algo", "dp", "--K", "2"],
+    ["--algo", "dp", "--select-order", "--K-max", "3"],
+    ["--algo", "hmm", "--K", "2"],
+]
+
+
+@pytest.mark.parametrize("args", RUNS)
+@pytest.mark.parametrize("name", list(OVERFLOWING))
+def test_exit_2_on_values_whose_squares_overflow(tmp_path, capsys, name, args):
+    text = "".join(f"{float(v)!r}\n" for v in OVERFLOWING[name])
+    assert run(tmp_path, text, *args) == 2
+    assert capsys.readouterr().err == (
+        f"data error: {tmp_path / 'series.csv'}:1: value too large "
+        f"(|x| >= 3.35e+152 overflows the sums of squares) {text.split()[0]!r}\n"
+    )
+
+
+@pytest.mark.parametrize("args", RUNS + [["--algo", "dp", "--cost", "ar(1)", "--K", "2"]])
+@pytest.mark.parametrize("name", list(OVERFLOWING))
+def test_values_just_below_the_limit_stay_finite(tmp_path, name, args):
+    # the limit is sqrt(max float) / 2T; a RuntimeWarning fails the test
+    values = np.sign(OVERFLOWING[name]) * 0.999 * np.sqrt(np.finfo(float).max) / 40
+    report = segment(tmp_path, values, *args)
+    assert np.isfinite(report["result"]["cost"])
 
 
 def test_the_reused_parser_carries_nothing_between_calls(tmp_path, monkeypatch):

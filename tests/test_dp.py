@@ -9,7 +9,7 @@ from tsseg import (
     build_cost_matrix,
     dp_segment,
 )
-from tsseg.dp import _run_dp
+from tsseg.dp import _advance, _prune_margin, _run_dp
 
 MODELS = {
     "means": ("means", 0),
@@ -209,14 +209,15 @@ def reference_runs(cm, model, order):
     masked = columns(cm, stored_mask(T, model, order))
     k_max = min(T, 8)
     default = cm.default_min_segment_length
+    margin = _prune_margin(cm, k_max)  # prunes the tables of order 0
     runs = [
         # the masked pass: the bound on the previous change point stands
         # for the mask over the reference's columns
-        ((cm.by_end, k_max, max(default, m), cm.first_end),
+        ((cm.by_end, k_max, max(default, m), cm.first_end, margin),
          (masked, T, k_max, m))
         for m in (1, default, default + 2)
     ]
-    runs.append(((cm.by_end, k_max, 1, 1), (columns(cm), T, k_max, 1)))
+    runs.append(((cm.by_end, k_max, 1, 1, margin), (columns(cm), T, k_max, 1)))
     return [(args, per_order_dp(*ref_args)) for args, ref_args in runs]
 
 
@@ -237,7 +238,7 @@ def test_fill_is_bit_identical_to_per_order_reference(model):
 
 @pytest.mark.parametrize("model", list(MODELS))
 def test_block_fill_is_bit_identical_across_block_edges(model, monkeypatch):
-    # the fill takes _CELLS // T window ends at a time, at most T
+    # the fill takes min(T, 64, 2 _CELLS // T) window ends at a time
     from tsseg import costs
 
     model, order = MODELS[model]
@@ -248,11 +249,89 @@ def test_block_fill_is_bit_identical_across_block_edges(model, monkeypatch):
         runs = reference_runs(cm, model, order)
         # 7 divides neither length, and the last two are one block
         for block in (1, 2, 3, 7, T, 2 * T):
-            monkeypatch.setattr(costs, "_CELLS", block * T)
+            monkeypatch.setattr(costs, "_CELLS", (block * T + 1) // 2)
             for args, (ref_c, ref_back) in runs:
                 c, back = _run_dp(*args)
                 assert np.array_equal(c, ref_c), block
                 assert np.array_equal(back, ref_back), block
+
+
+PRUNING_SERIES = {
+    "constant": np.full(41, 0.1),
+    "offset": 1e8 + np.round(np.random.default_rng(6).normal(0.0, 2.0, 37)),
+    "alternating": np.arange(44) % 2.0,
+    # exact ties between windows of equal means, which rounding breaks
+    # either way: pruning without its margin changes the answer here
+    "periodic": np.resize([0.1, 0.1, 1.1, 0.1, 0.1], 29) + 0.1,
+    "two levels": np.repeat([0.0, 10.0], 20)
+    + np.random.default_rng(7).normal(0.0, 0.1, 40),
+}
+
+
+@pytest.mark.parametrize("name", list(PRUNING_SERIES))
+@pytest.mark.parametrize("block", [1, 3, 7])
+def test_pruned_fill_is_bit_identical_to_per_order_reference(name, block, monkeypatch):
+    # pruning moves each order's first live change point at every block
+    # edge, so small blocks prune often; min_len 5 is taller than blocks 1, 3
+    from tsseg import costs
+
+    x = TimeSeries(PRUNING_SERIES[name])
+    T, k_max = len(x), 8
+    for model, order in (("means", 0), ("ar", 0), ("poly", 0)):
+        cm = build_cost_matrix(x, model, order=order)
+        margin = _prune_margin(cm, k_max)
+        for min_len in (1, 2, 5):
+            ref_c, ref_back = per_order_dp(columns(cm), T, k_max, min_len)
+            monkeypatch.setattr(costs, "_CELLS", (block * T + 1) // 2)
+            c, back = _run_dp(cm.by_end, k_max, min_len, 1, margin)
+            monkeypatch.undo()
+            assert np.array_equal(c, ref_c)
+            assert np.array_equal(back, ref_back)
+
+
+def test_advance_drops_every_change_point_before_a_jump():
+    x = TimeSeries(PRUNING_SERIES["two levels"])
+    cm = build_cost_matrix(x)
+    c, _ = _run_dp(cm.by_end, 3, 1, 1, np.inf)
+    # two segments fit [1, 30] with their cut at the jump after 20, so an
+    # order-3 segmentation whose last change point s lies before the jump
+    # pays the jump inside its last segment, at t = 30 and at every later end
+    margin = _prune_margin(cm, 3)
+    assert _advance(0, c[2], cm.by_end[29], 30, margin) == 20
+    assert _advance(20, c[2], cm.by_end[29], 30, margin) == 20
+    assert _advance(0, c[2], cm.by_end[29], 30, np.inf) == 0
+
+
+@pytest.mark.parametrize("model", list(MODELS))
+def test_only_tables_of_order_zero_are_pruned(model, monkeypatch):
+    # ar and poly windows of order >= 1 may be overcharged by the solve's
+    # fallback, so their costs need not be superadditive
+    from tsseg import dp
+
+    model, order = MODELS[model]
+    advanced = []
+
+    def spy(lo, *args):
+        advanced.append((lo, dp_advance(lo, *args)))
+        return advanced[-1][1]
+
+    dp_advance = dp._advance
+    monkeypatch.setattr(dp, "_advance", spy)
+    cm = build_cost_matrix(TimeSeries(PRUNING_SERIES["two levels"]), model, order)
+    assert np.isfinite(_prune_margin(cm, 4)) == (order == 0)
+    monkeypatch.setattr(dp._costs, "_CELLS", 40)  # blocks of 2 ends
+    dp_segment(cm, 4)
+    if order == 0:
+        assert any(new > lo for lo, new in advanced)
+    else:
+        assert not advanced
+
+
+def test_a_table_whose_sums_overflow_prunes_nothing():
+    by_end = np.tril(np.full((6, 6), 1e308))  # 6 d[1, 6] overflows
+    assert _prune_margin(CostMatrix(by_end.copy(), "means"), 3) == np.inf
+    by_end[-1, 0] = np.nan
+    assert _prune_margin(CostMatrix(by_end, "means"), 3) == np.inf
 
 
 def test_min_segment_length_below_one_is_rejected():
