@@ -14,36 +14,43 @@ charged rows u of the window: [1] for means, [1, x_{u-1}, ..., x_{u-L}] for
 ar (the first L rows, whose lags are clamped, are not charged), and
 [1, (t-u), ..., (t-u)^L] for poly, which spans the same polynomials as the
 within-segment offset.  :func:`_design` names these rows once.
-:func:`build_cost_matrix` builds the ar and poly tables of order >= 1
-from them (at order 0 the design is [1] and the table is the means one): it
-fills a block of consecutive window ends at a time, indexing each window
-[t-i, t] by its end t and its age i.  The sums of u u', u x and x^2
-over a window are one cumsum along the rows t, t-1, ... of the block's
-ends, taken on a sliding view of the reversed, zero-padded rows.  They
-solve the Jacobi-scaled normal equations, with no
-ridge, by one broadcasting Cholesky solve over the whole block (poly's Gram
-matrix depends only on the window length, so it is factored once per
-length and serves every end).  The solve reads only the lower triangle of
-a Gram matrix, so ar sums only that, and a window's cost is its x^2 sum
-less c'r, the explained sum of squares the solve forms anyway; the
-coefficients themselves are never assembled.  That is O(T^2 d^2) work for
-d regressors.
-The means table has its own fill, with anchors at a = M, 2M, ... (M =
-``_M``).  Take the largest anchor a below the end t (a = 0 when t <= M).
-A window [s, t] with s > a lies in the *band*: it has at most M rows, and
-it takes the closed form Q - S^2/n on the sums of its rows from t back.
-Any other window
-(s <= a) is the exact pairwise merge of [s, a] and [a+1, t] (Chan, Golub
-and LeVeque 1983, *Am. Stat.* 37(3)):
+
+:func:`build_cost_matrix` fills every table the same way, with anchors at
+a = M, 2M, ... (M = ``_M``).  Take the largest anchor a below the end t
+(a = 0 when t <= M).  A window [s, t] with s > a lies in the *band*: it
+has at most M rows, and its sums are taken over its own rows from t back.
+Any other window (s <= a) is the sum of its part [s, a], one cumsum from a
+back per anchor, and its part [a+1, t], summed forward from a+1.  So a
+short window is never the difference of two long sums, whose cancellation
+would lose the digits of a window far from the start of a series.  The
+band is computed for all ages below M at every end, and the anchored
+windows overwrite it, a tile of ``_M`` ends by ``_CELLS // (_M d)`` starts
+(d regressors) at a time.
+
+For means the sums are of x and x^2, and a window costs Q - S^2/n in the
+band.  An anchored window is the exact pairwise merge of its two parts
+(Chan, Golub and LeVeque 1983, *Am. Stat.* 37(3)):
 d[s, t] = d[s, a] + d[a+1, t] + n1 n2 / (n1 + n2) (mean_L - mean_R)^2,
-with n1 = a - s + 1 and n2 = t - a.  The left parts [s, a] are one cumsum
-from a back per anchor; the right parts come from the band.  So every sum
-is taken over the window's own rows.  A short window is never the
-difference of two long sums, whose cancellation would lose the digits of
-a window far from the start of a series, and the merge adds only
-nonnegative terms, so no merged window needs a clamp at 0.  The merge is
-five elementwise passes over a tile of windows, where the direct form
-would take two cumsums, each several times dearer than a pass.
+with n1 = a - s + 1 and n2 = t - a, the right part's cost taken from the
+band.  The merge adds only nonnegative terms, so no merged window needs a
+clamp at 0, and it is five elementwise passes over a tile.
+
+For ar and poly of order >= 1 the sums are of u u', u x and x^2 over the
+design rows u.  They solve the Jacobi-scaled normal equations, with no
+ridge, by one broadcasting Cholesky solve over the band and over each tile,
+and a window's cost is its x^2 sum less c'r, the explained sum of squares
+the solve forms anyway; the coefficients themselves are never assembled.
+ar's rows are the lag rows everywhere, with the rows that are not charged
+set to 0, and as the solve reads only the lower triangle of a Gram matrix,
+only that is summed.  poly's band keeps the age design t - u, whose Gram
+matrix depends only on the window length and is factored once per length.
+Its tiles take the design u - a, which spans the same polynomials: the
+Gram matrix is then the Hankel matrix of the 2d - 1 power sums of the
+offsets u - a, which depend only on a - s and t - a and are summed once
+per table.  The windows whose result is thrown away (flagged ones, and
+band windows that a tile overwrites) never reach the solve's
+pseudo-inverse.  That is O(T^2 d^2) work for d regressors.
+
 Both segmenters fit a segmentation through :func:`_segment_fits`, on the
 same design rows and by the same solve.  Each model also has a
 direct evaluator (the slow, obviously-correct form) the tables are checked
@@ -56,7 +63,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided, sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 
 from .core import TimeSeries, _freeze
 
@@ -73,15 +80,15 @@ __all__ = [
 #: the largest eigenvalue.
 _RCOND = 1e-8
 
-#: Size of a block of the table fill, in windows (window ends times ages)
-#: times regressors: large enough that every numpy operation covers many
-#: windows, small enough that the solve's working arrays stay in cache.
-#: The means merge takes tiles of ``_M`` ends by ``_CELLS // _M`` starts,
-#: and the DP fill (:func:`tsseg.dp._run_dp`) blocks of min(64, 2 _CELLS / T) ends.
+#: Size of a tile of the table fill, in windows times regressors: large
+#: enough that every numpy operation covers many windows, small enough that
+#: the solve's working arrays stay near the cache.  A tile is ``_M`` ends by
+#: ``_CELLS // (_M d)`` starts for d regressors (1 for means), and the DP
+#: fill (:func:`tsseg.dp._run_dp`) takes blocks of min(64, 2 _CELLS / T) ends.
 _CELLS = 1 << 16
 
-#: Spacing of the means table's anchors, which is also the width of its
-#: band of directly summed windows; see :func:`build_cost_matrix`.
+#: Spacing of the tables' anchors, which is also the width of their band
+#: of windows summed over their own rows; see the module docstring.
 _M = 32
 
 
@@ -282,7 +289,8 @@ def _lsq(
     instead: the minimum-norm fit over the directions the Gram matrix
     resolves, which for an exactly singular system still reaches the
     least-squares minimum.  The systems that ``drop`` marks, whose result
-    the caller throws away, never take the fallback and may come out NaN.
+    the caller throws away (a flagged window, or a band window that a tile
+    overwrites), never take the fallback and may come out NaN.
 
     Returns the scaled coefficients and the scales, one array per
     regressor (coefficient i is ``c[i] / scale[i]``), and c'r, which is
@@ -413,75 +421,43 @@ def _segment_fits(
     return np.einsum("ij,ij->i", design, coefs[block]), first, coefs
 
 
-def _reversed_padded(rows: np.ndarray) -> np.ndarray:
-    """A series of rows, time along the last axis, reversed in time and
-    followed by as many zero rows."""
-    return np.concatenate([rows[..., ::-1], np.zeros_like(rows)], axis=-1)
-
-
-def _by_age(padded: np.ndarray, t0: int, t1: int) -> np.ndarray:
-    """The rows u = t - i of a series, from :func:`_reversed_padded`, for
-    the window ends t = t0..t1 (axis 0) and the ages i = 0..t1-1 (the last
-    axis), as a view.  Ages that reach past the start of the series read 0.
-    """
-    T = padded.shape[-1] // 2
-    view = sliding_window_view(padded, t1, axis=-1)
-    return np.moveaxis(view[..., T - t1 : T - t0 + 1, :], -2, 0)[::-1]
-
-
-def _cumsum_by_age(padded: np.ndarray, t0: int, t1: int) -> np.ndarray:
-    """Sums of the rows u = t, t-1, ..., t-i, added in that order, for the
-    window ends t = t0..t1 (axis 0) and the ages i = 0..t1-1 (axis 1).
-
-    Each entry of a row is stored contiguously along the ages, which is
-    the layout the solve reads.
-    """
-    view = _by_age(padded, t0, t1)
-    return np.moveaxis(np.cumsum(view, axis=-1, out=np.empty(view.shape)), -1, 1)
-
-
-def _gram_by_age(padded_lower: np.ndarray, d: int, t0: int, t1: int) -> np.ndarray:
-    """:func:`_cumsum_by_age` of the products u_i u_j of a symmetric d x d
-    matrix, of which :func:`_reversed_padded` holds only the lower triangle,
-    in the order of ``np.tril_indices(d)``.  Only the lower triangle is
-    summed, which is all that :func:`_lsq` reads; the rest is left unset."""
-    view = _by_age(padded_lower, t0, t1)
-    gram = np.empty((view.shape[0], d, d, t1))
-    for k, (i, j) in enumerate(zip(*np.tril_indices(d))):
-        np.cumsum(view[:, k], axis=-1, out=gram[:, i, j])
-    return np.moveaxis(gram, -1, 1)
-
-
-def _store_by_start(by_end: np.ndarray, cost: np.ndarray, t0: int) -> None:
-    """Writes a block's costs into the table by window start.
-
-    ``cost[b, i]`` is the window [t-i, t] with t = t0 + b, for the B ends
-    t = t0..t1 and the ages i = 0..t1-1; it goes to ``by_end[t-1, t-1-i]``
-    when i < t.  The block's windows with t < s <= t1 get 0.
-    """
-    B, n = cost.shape
-    # Row b of ``skew`` holds cost[b] reversed, then B zeros: reading it
-    # with a row stride one element short shifts row b left by B-1-b.
-    skew = np.zeros((B, n + B))
-    skew[:, :n] = cost[:, ::-1]
-    step = skew.strides[1]
-    by_end[t0 - 1 : t0 - 1 + B, :n] = as_strided(
-        skew.ravel()[B - 1 :], (B, n), (skew.strides[0] - step, step)
+def _sums_by_age(
+    v: np.ndarray, m: int, weight: np.ndarray | None = None
+) -> np.ndarray:
+    """Sums of the rows u = t, t-1, ..., t-i of ``v`` (time along its last
+    axis), added in that order, for the ages i = 0..m-1 (the second-last
+    axis) and every end t (the last axis); rows before the start of the
+    series add 0.  With ``weight`` (m, ...), row t-i is multiplied by
+    ``weight[i]``, broadcast against the leading axes of ``v``, before it
+    is added.  One vector add per age: a cumsum along rows this short would
+    pay numpy's per-row overhead."""
+    padded = np.concatenate([np.zeros(v.shape[:-1] + (m - 1,)), v], axis=-1)
+    # rows[i] is v i rows later, padded[..., m-1-i : m-1-i+T], as a view
+    step = padded.itemsize
+    rows = np.ndarray(
+        (m,) + v.shape, padded.dtype, padded, (m - 1) * step, (-step,) + padded.strides
     )
+    if weight is not None:
+        rows = rows * weight[..., None]
+    sums = np.empty(rows.shape)
+    sums[0] = rows[0]
+    for prev, cur, row in zip(sums, sums[1:], rows[1:]):
+        np.add(prev, row, out=cur)
+    return sums.swapaxes(0, -2)
 
 
-def _sums_by_age(v: np.ndarray, m: int) -> np.ndarray:
-    """Sums of the rows u = t, t-1, ..., t-i of ``v``, added in that order,
-    for every end t (axis 0) and the ages i = 0..m-1 (axis 1); rows before
-    the start of the series add 0.  One vector add per age: a cumsum along
-    rows this short would pay numpy's per-row overhead."""
-    T = v.size
-    padded = np.concatenate([np.zeros(m - 1), v])
-    sums = np.empty((m, T))
-    sums[0] = v
-    for i in range(1, m):
-        np.add(sums[i - 1], padded[m - 1 - i : m - 1 - i + T], out=sums[i])
-    return sums.T
+def _store_band(by_end: np.ndarray, band: np.ndarray) -> None:
+    """Writes ``band[t-1, i]``, the cost of the window [t-i, t], to
+    ``by_end[t-1, t-1-i]`` for every end t and age i < min(t, m) (m the
+    band's width)."""
+    T, m = band.shape
+    # a view whose row stride is one element longer than by_end's holds
+    # the band's rows m-1.. reversed
+    row, col = by_end.strides
+    skew = as_strided(by_end[m - 1 :], (T - m + 1, m), (row + col, col))
+    skew[...] = band[m - 1 :, ::-1]
+    for r in range(m - 1):
+        by_end[r, : r + 1] = band[r, r::-1]
 
 
 def _means_by_end(xc: np.ndarray) -> np.ndarray:
@@ -498,7 +474,7 @@ def _means_by_end(xc: np.ndarray) -> np.ndarray:
     m = min(_M, T)
     lengths = np.arange(1.0, T + 1.0)
     xx = xc * xc
-    sums, band = _sums_by_age(xc, m), _sums_by_age(xx, m)
+    sums, band = _sums_by_age(xc, m).T, _sums_by_age(xx, m).T
     # the right part [a+1, t] of each end's merged windows: age (t-1) mod M
     ends = np.arange(T)
     right = ends % _M
@@ -511,13 +487,7 @@ def _means_by_end(xc: np.ndarray) -> np.ndarray:
     cost_right = band[ends, right]
 
     by_end = np.zeros((T, T))
-    # by_end[t-1, t-1-i] = band[t-1, i]: a view whose row stride is one
-    # element longer than by_end's holds the band's rows m-1.. reversed
-    row, col = by_end.strides
-    skew = as_strided(by_end[m - 1 :], (T - m + 1, m), (row + col, col))
-    skew[...] = band[m - 1 :, ::-1]
-    for r in range(m - 1):
-        by_end[r, : r + 1] = band[r, r::-1]
+    _store_band(by_end, band)
 
     # weight[j, T-n1] = n1 n2 / (n1 + n2) for the right length n2 = j+1
     n1 = lengths[::-1]
@@ -549,21 +519,108 @@ def _means_by_end(xc: np.ndarray) -> np.ndarray:
     return by_end
 
 
+def _lsq_by_end(
+    xc: np.ndarray, model: str, design: np.ndarray, first: int
+) -> np.ndarray:
+    """The ar or poly table of order >= 1 of the centred series ``xc``, by
+    window end (the band and the anchor tiles of the module docstring), from
+    the :func:`_design` rows of the model, ar's by the time u and poly's by
+    the age t - u, and its first charged row."""
+    T, d = design.shape
+    m = min(_M, T)
+    first_end = _admissibility(model, d - 1)[1]
+    lower = np.tril_indices(d)
+
+    # Every stack of sums below holds, along its first axis, ar's lower
+    # Gram triangle (poly's Gram matrices are built apart), the right-hand
+    # side and x^2.
+    def lower_gram(sums: np.ndarray) -> np.ndarray:
+        gram = np.empty((d, d) + sums.shape[1:])
+        gram[lower] = sums[: lower[0].size]
+        return np.moveaxis(gram, (0, 1), (-2, -1))
+
+    def cost(sums: np.ndarray, gram: np.ndarray, drop: np.ndarray) -> np.ndarray:
+        explained = _lsq(gram, np.moveaxis(sums[-d - 1 : -1], 0, -1), drop)[2]
+        c = sums[-1] - explained
+        c[drop] = 0.0
+        return np.maximum(c, 0.0, out=c)
+
+    xx = xc * xc
+    if model == "ar":
+        # the lag rows, 0 on the rows that are not charged
+        u = design.T
+        terms = np.concatenate([u[lower[0]] * u[lower[1]], u * xc, [xx]])
+        terms[:, :first] = 0.0
+        sums = _sums_by_age(terms, m)[:, d:]
+        gram = lower_gram(sums)
+    else:
+        # the age design: one Gram matrix per length, positive definite
+        # past length d
+        rows = design[:m]
+        gram = np.cumsum(rows[:, :, None] * rows[:, None, :], axis=0)[d:, None]
+        weight = np.column_stack([rows, np.ones(m)])
+        sums = _sums_by_age(np.stack([xc] * d + [xx]), m, weight)[:, d:]
+        # the tiles' design u - a has power sums that depend only on a - s
+        # and t - a: (-v)^k summed over v = 0..a-s and v^k over v = 1..t-a
+        left_pow = np.cumsum(np.vander(-np.arange(float(T)), 2 * d - 1, True), 0).T
+        right_pow = np.cumsum(np.vander(np.arange(1.0, m + 1.0), 2 * d - 1, True), 0).T
+
+    # The band drops the windows that start at or before their end's anchor
+    # (the tiles overwrite them, and past the series start, a = 0, they
+    # repeat [1, t]) and the ends before first_end, which have no
+    # identified window.
+    drop = np.arange(d, m)[:, None] > np.arange(T) % _M
+    drop[:, : first_end - 1] = True
+    band = np.zeros((m, T))
+    band[d:] = cost(sums, gram, drop)
+    by_end = np.zeros((T, T))
+    _store_band(by_end, band.T)
+
+    width = max(1, _CELLS // (_M * d))
+    for a in range(_M, T, _M):
+        t0, t1 = max(a + 1, first_end), min(a + _M, T)
+        if t0 > t1:
+            continue
+        if model == "poly":  # the design u - a
+            offset = np.vander(np.arange(1.0 - a, t1 - a + 1.0), d, True).T
+            terms = np.concatenate([offset * xc[:t1], [xx[:t1]]])
+        # the left parts [s, a], s = 1..a, summed from a back, and the right
+        # parts [a+1, t], t = t0..t1, summed forward
+        left = np.empty((terms.shape[0], a))
+        np.cumsum(terms[:, a - 1 :: -1], axis=1, out=left[:, ::-1])
+        right = np.cumsum(terms[:, a:t1], axis=1)[:, t0 - a - 1 :]
+        for s0 in range(0, a, width):
+            s1 = min(s0 + width, a)
+            sums = right[:, :, None] + left[:, None, s0:s1]
+            if model == "ar":
+                gram = lower_gram(sums)
+            else:
+                # a Hankel matrix: entry (i, j) is the power sum of i + j
+                h = right_pow[:, t0 - a - 1 : t1 - a, None]
+                h = h + left_pow[:, a - s1 : a - s0][:, None, ::-1]
+                power, end, start = h.strides
+                gram = as_strided(
+                    h, sums.shape[1:] + (d, d), (end, start, power, power),
+                    writeable=False,
+                )
+            # the windows of at most d rows, next to the anchor, are flagged
+            drop = np.arange(t0, t1 + 1)[:, None] - np.arange(s0 + 1, s1 + 1) < d
+            by_end[t0 - 1 : t1, s0:s1] = cost(sums, gram, drop)
+    return by_end
+
+
 def build_cost_matrix(
     x: TimeSeries, model: str = "means", order: int | None = None
 ) -> CostMatrix:
     """Cost table of ``model`` in {means, ar, poly}.
 
     ``order`` is the lag count of ar and the degree of poly.  The windows
-    that :class:`CostMatrix`'s rule flags are stored as 0.
-
-    ar and poly are filled a block of window ends at a time.  Means, and
-    ar and poly of order 0 (design [1]: their table is the means one), take
-    the band-and-anchor fill that the module docstring describes.
+    that :class:`CostMatrix`'s rule flags are stored as 0.  Every table takes
+    the band-and-anchor fill of the module docstring; ar and poly of order 0
+    (design [1]) take the means one, which is their table.
     """
     T = len(x)
-    # Centring x (the intercept absorbs it); ar rows are indexed by the
-    # time u, poly rows by the age t - u.
+    # Centring x (the intercept absorbs it)
     xc = x.values - x.values.mean()
     if model == "means":
         return CostMatrix(by_end=_means_by_end(xc), model_tag=model)
@@ -574,50 +631,5 @@ def build_cost_matrix(
     design, first = _design(xc, model, order, np.arange(float(T)))
     if design.shape[1] == 1:  # order 0: the design [1] charges every row
         return CostMatrix(by_end=_means_by_end(xc), model_tag=model, order=order)
-    weight = np.ones(T)
-    weight[:first] = 0.0
-    d = design.shape[1]
-    wx = weight * xc
-    padded_wxx = _reversed_padded(wx * xc)
-    if model == "ar":
-        # the Gram matrix is symmetric, so only its lower triangle is summed
-        u = design.T
-        lower = np.tril_indices(d)
-        padded_lower = _reversed_padded(u[lower[0]] * u[lower[1]] * weight)
-        padded_rhs = _reversed_padded(u * wx)
-    else:
-        by_length = np.cumsum(design[:, :, None] * design[:, None, :], axis=0)
-        padded_wx = _reversed_padded(wx)
-    # A window [t-i, t] is identified when it has more than d charged rows:
-    # when i >= d, at the ends t >= first_end.
-    first_end = _admissibility(model, order)[1]
-
-    by_end = np.zeros((T, T))
-    rows = max(1, _CELLS // (T * d))
-    for t0 in range(1, T + 1, rows):
-        t1 = min(t0 + rows - 1, T)
-        unidentified = max(0, first_end - t0)  # the block's ends t < first_end
-        cost = _cumsum_by_age(padded_wxx, t0, t1)
-        if model == "ar":
-            gram = _gram_by_age(padded_lower, d, t0, t1)[:, d:]
-            rhs = _cumsum_by_age(padded_rhs, t0, t1)[:, d:]
-            # the windows past the series start and the ends without an
-            # identified window are dropped, so they may be singular but
-            # must not take the fallback
-            drop = np.arange(d, t1) >= np.arange(t0, t1 + 1)[:, None]
-            drop[:unidentified] = True
-        else:
-            # one Gram matrix per length, positive definite past length d,
-            # so the windows past the series start solve without the
-            # fallback (and are dropped)
-            gram = by_length[d:t1]
-            xs = _by_age(padded_wx, t0, t1)[:, None, :] * design[:t1].T
-            rhs = np.moveaxis(np.cumsum(xs, axis=-1), -1, 1)[:, d:]
-            drop = None
-        cost[:, d:] -= _lsq(gram, rhs, drop)[2]
-        cost[:, :d] = 0.0
-        cost[:unidentified] = 0.0
-        np.maximum(cost, 0.0, out=cost)
-        _store_by_start(by_end, cost, t0)
-
+    by_end = _lsq_by_end(xc, model, design, first)
     return CostMatrix(by_end=by_end, model_tag=model, order=order)

@@ -37,7 +37,6 @@ order >= 1 stay dense: their pseudo-inverse fallback breaks superadditivity.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
 
@@ -48,11 +47,7 @@ from .costs import CostMatrix
 __all__ = [
     "DpResult",
     "dp_segment",
-    "brute_force_segment",
 ]
-
-#: brute_force_segment refuses longer series (the enumeration is combinatorial).
-BRUTE_FORCE_LIMIT = 25
 
 
 @dataclass(frozen=True)
@@ -169,34 +164,3 @@ def dp_segment(
             DpResult(k, _backtrack(pback, k, T), float(pc[k, T]), used_flagged=True)
         )
     return results
-
-
-def brute_force_segment(
-    costs: CostMatrix, k: int, min_segment_length: int | None = None
-) -> DpResult:
-    """Exhaustive minimum over all order-k segmentations (tiny inputs only)."""
-    T = costs.n
-    if T > BRUTE_FORCE_LIMIT:
-        raise ValueError(f"brute force is limited to T <= {BRUTE_FORCE_LIMIT}")
-    if not 1 <= k <= T:
-        raise ValueError(f"order must be in [1, {T}], got {k}")
-    min_len, first_end = _min_len(costs, min_segment_length), costs.first_end
-    for used_flagged in (False, True):
-        best_cost = np.inf
-        best_cps: tuple[int, ...] | None = None
-        for interior in combinations(range(1, T), k - 1):
-            cps = (0, *interior, T)
-            if cps[1] < first_end or any(
-                b - a < min_len for a, b in zip(cps, cps[1:])
-            ):
-                continue
-            cost = 0.0
-            for a, b in zip(cps, cps[1:]):
-                cost = cost + costs.by_end[b - 1, a]
-            if cost < best_cost:
-                best_cost = cost
-                best_cps = cps
-        if best_cps is not None:
-            return DpResult(k, Segmentation(best_cps), float(best_cost), used_flagged)
-        min_len = first_end = 1
-    raise AssertionError("no feasible segmentation found")

@@ -215,17 +215,22 @@ def oracle_cost(x, model, order, s, t):
 
 
 class TestTableMatchesOracles:
+    # T = 60 has one anchor; 3 M + 5 has three, and tiles of several ends
     @pytest.mark.parametrize(
-        "model, order",
-        [("means", 0), ("ar", 1), ("ar", 2), ("ar", 3),
-         ("poly", 0), ("poly", 1), ("poly", 2)],
+        "model, order, T",
+        [pytest.param(model, order, 60, id=f"{model}-{order}")
+         for model, order in [("means", 0), ("ar", 1), ("ar", 2), ("ar", 3),
+                              ("poly", 0), ("poly", 1), ("poly", 2)]]
+        + [pytest.param(model, order, 3 * M + 5, id=f"{model}-{order}-T{3 * M + 5}")
+           for model, order in [("ar", 1), ("ar", 2), ("ar", 3),
+                                ("poly", 1), ("poly", 2)]],
     )
-    def test_every_window(self, model, order):
+    def test_every_window(self, model, order, T):
         rng = np.random.default_rng(60 + order)
-        x = TimeSeries(rng.standard_normal(60) * 3.0 + 1.0)
+        x = TimeSeries(rng.standard_normal(T) * 3.0 + 1.0)
         cm = build_cost_matrix(x, model, order=order)
         flagged = cm.flagged  # None for means, which flags nothing
-        for t in range(1, 61):
+        for t in range(1, T + 1):
             for s in range(1, t + 1):
                 table = cm.by_end[t - 1, s - 1]
                 if flagged is not None and flagged[t - 1, s - 1]:
@@ -287,14 +292,21 @@ class TestSingularWindows:
             (np.concatenate([np.random.default_rng(1).standard_normal(15),
                              np.full(15, 2.0),
                              np.random.default_rng(2).standard_normal(15)]), 2),
+            # constant over 25..45, across the anchor M = 32
+            (np.concatenate([np.random.default_rng(3).standard_normal(24),
+                             np.full(21, 2.0),
+                             np.random.default_rng(4).standard_normal(35)]), 2),
+            (np.arange(3 * M + 5.0), 3),  # every window, over three anchors
         ],
-        ids=["linear-ar3", "constant-stretch-ar2"],
+        ids=["linear-ar3", "constant-stretch-ar2", "anchor-stretch-ar2",
+             "linear-ar3-anchors"],
     )
     def test_fallback_only_for_rank_deficient_windows(self, values, order, monkeypatch):
         # the pseudo-inverse is reached on no more windows than have a
-        # rank-deficient design: not on the windows past the series start
-        # that the block fill computes and drops, nor on a whole column
-        # because one of its windows is singular
+        # rank-deficient design: not on the band's windows that a tile
+        # overwrites or that reach past the series start, nor on a tile's
+        # flagged windows next to its anchor, which the fill computes and
+        # drops, nor on a whole batch because one of its windows is singular
         reached = []
         pinv = np.linalg.pinv
 
@@ -314,6 +326,21 @@ class TestSingularWindows:
             if not flagged[t - 1, s - 1]
         )
         assert 0 < sum(reached) <= deficient
+
+    def test_high_order_whose_first_end_is_past_the_first_anchor(self):
+        # ar(16) identifies no window before t = 34, past the first tile's
+        # first end M + 1; the first identified ends match the oracle
+        rng = np.random.default_rng(16)
+        x = TimeSeries(rng.standard_normal(150) + 5.0)
+        cm = build_cost_matrix(x, "ar", order=16)
+        assert cm.first_end > M + 1
+        assert np.all(np.isfinite(cm.by_end))
+        assert cm.by_end[np.tri(len(x), dtype=bool)].min() >= 0.0
+        assert not cm.by_end[cm.flagged].any()
+        for t in range(cm.first_end, cm.first_end + 4):
+            for s in range(1, t - 16):
+                exact = ar_cost_exact(x, s, t, 16)[0]
+                assert abs(cm.by_end[t - 1, s - 1] - exact) <= 1e-8 * max(1.0, exact)
 
     @pytest.mark.parametrize("gap", [0.0, 1e-8, 1e-6])
     def test_collinear_solve_is_consistent(self, gap):
@@ -412,6 +439,8 @@ def means_columns(values):
 
 
 class TestBlockFill:
+    """The band-and-anchor fill, tiled by ``_CELLS``, and its solve."""
+
     @pytest.mark.parametrize(
         "model, order",
         [("means", 0), ("ar", 1), ("ar", 2), ("ar", 3),

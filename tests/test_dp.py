@@ -5,11 +5,12 @@ from tsseg import (
     CostMatrix,
     Segmentation,
     TimeSeries,
-    brute_force_segment,
     build_cost_matrix,
     dp_segment,
 )
 from tsseg.dp import _advance, _prune_margin, _run_dp
+
+from oracles import brute_force_segment
 
 MODELS = {
     "means": ("means", 0),
